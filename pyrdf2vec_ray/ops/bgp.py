@@ -33,12 +33,18 @@ Semantics (set algebra, matching SPARQL evaluation over a triple SET):
 Scale shape: constants are pushed into the per-pattern scan (a
 stateless vectorized ``map_batches`` filter over the triple stream —
 at 100 TB this is the moment column/row pruning happens, one pass
-shared by all patterns).  Joins are ADAPTIVE (the AQE strategy): the
-accumulating solution set is materialized per hop, and while it is
-under ``broadcast_threshold`` rows it ships to every scan task —
-zero shuffles for the hop — else the hop is ONE int-bucket hash
-shuffle (`ops/join.hash_join`) keyed on the shared variables with
-schema hints keeping the chain single-execution.  Join ORDER is chosen
+shared by all patterns, pinned as one tagged set).  One more pass over
+that pinned set yields the exact row count of every pattern scan, and
+one after it collects every scan within ``broadcast_threshold`` rows
+to the driver.  Joins are then ADAPTIVE per hop (the AQE strategy): a
+scan within the threshold broadcasts into the still-lazy accumulating
+solution set — a stateless merge fused into the chain's map stage, no
+materialize and no shuffle.  Only a scan over the threshold stops the
+chain: the accumulating set is materialized and counted, and it
+broadcasts to every scan task while under the threshold, else the hop
+is ONE int-bucket hash shuffle (`ops/join.hash_join`) keyed on the
+shared variables with schema hints keeping the chain
+single-execution.  Join ORDER is chosen
 greedily — start at the most-constant (most selective) pattern, then
 always extend with a pattern sharing at least one bound variable,
 preferring fewer new variables — so intermediate results shrink before
@@ -240,7 +246,8 @@ def _pattern_scan(
 def _multiplex_scans(
     triples: ray.data.Dataset,
     pats: list[tuple[str, str, str]],
-) -> list[tuple[ray.data.Dataset, list[str]]]:
+    broadcast_threshold: int,
+) -> list[tuple[ray.data.Dataset, list[str], pa.Table | None]]:
     """ONE shared pass over the triple stream evaluating EVERY plain
     pattern's mask per batch (VERDICT r4 item 1: an N-pattern BGP must
     not read the corpus N times).  Each batch emits tagged rows
@@ -251,11 +258,20 @@ def _multiplex_scans(
     cheap pid-filters over the PRUNED tagged set, never corpus
     re-scans.
 
+    Returns ``(scan, var_names, local)`` per pattern.  ``local`` is the
+    scan's rows as a driver-side Arrow table when the scan holds at most
+    ``broadcast_threshold`` rows (``None`` otherwise, and always when
+    the threshold is 0): one pass over the pinned set counts every
+    pattern's rows, and one more collects all the small scans at once,
+    so a broadcast hop costs no job of its own.
+
     Scale note: the pinned tagged set is Σ per-pattern selectivities —
     for the constant-pinned patterns real queries are made of it is a
     small fraction of the corpus (and it spills via the object store
     if not; an unpinned ``?s ?p ?o`` pattern is corpus-sized on any
     engine)."""
+    from pyrdf2vec_ray.util import to_table
+
     if not pats:
         return []
     specs = [_scan_spec(p) for p in pats]
@@ -287,7 +303,31 @@ def _multiplex_scans(
     tagged = triples.map_batches(
         scan_all, batch_format="pyarrow").materialize()
 
-    out: list[tuple[ray.data.Dataset, list[str]]] = []
+    counts = np.zeros(len(specs), dtype=np.int64)
+    small: set[int] = set()
+    if broadcast_threshold > 0:
+        def pid_counts(batch: pa.Table) -> pa.Table:
+            n = np.bincount(batch["pid"].to_numpy(), minlength=len(specs))
+            return pa.table({"n": n.astype(np.int64)})
+
+        per_batch = to_table(tagged.map_batches(
+            pid_counts, batch_format="pyarrow"))
+        if per_batch.num_rows:
+            counts = per_batch["n"].to_numpy().reshape(
+                -1, len(specs)).sum(axis=0)
+        small = {pid for pid, n in enumerate(counts)
+                 if n <= broadcast_threshold}
+        wanted = pa.array([p for p in small if counts[p]], pa.int32())
+        if len(wanted):
+            def pick(batch: pa.Table) -> pa.Table:
+                return batch.filter(
+                    pc.is_in(batch["pid"], value_set=wanted))
+
+            got = to_table(tagged.map_batches(
+                pick, batch_format="pyarrow"))
+
+    out: list[tuple[ray.data.Dataset, list[str], pa.Table | None]]
+    out = []
     for pid, (_c, _e, _cols, names) in enumerate(specs):
         def make(pid: int = pid, names: tuple = tuple(names)):
             def proj(batch: pa.Table) -> pa.Table:
@@ -298,8 +338,13 @@ def _multiplex_scans(
                      for i, nm in enumerate(names)})
             return proj
 
+        local = None
+        if pid in small:
+            local = (make()(got) if counts[pid] else
+                     pa.table({nm: pa.array([], pa.string())
+                               for nm in names}))
         out.append((tagged.map_batches(make(), batch_format="pyarrow"),
-                    list(names)))
+                    list(names), local))
     return out
 
 
@@ -325,7 +370,7 @@ _FILTER_OPS.update(_FILTER_STR_FUNCS)
 
 
 def _eval_group(
-    scans: list[tuple[ray.data.Dataset, list[str]]],
+    scans: list[tuple[ray.data.Dataset, list[str], pa.Table | None]],
     patterns: list[tuple[str, str, str]],
     broadcast_threshold: int,
     num_buckets: int | None,
@@ -334,9 +379,13 @@ def _eval_group(
     greedy left-deep order (seed at the most-constant pattern, always
     extend across a shared variable, fewest new vars first — so
     intermediates shrink before they widen and no cartesian product is
-    formed), each hop adaptive (AQE): broadcast the accumulating
-    solutions while small, hash-shuffle past the threshold.  Returns
-    (solutions, var-column order)."""
+    formed), each hop adaptive (AQE): a scan with a driver-side
+    ``local`` table (within ``broadcast_threshold``, see
+    :func:`_multiplex_scans`) broadcasts into the lazy accumulating
+    solutions; past it, broadcast the accumulating solutions while
+    small, else hash-shuffle.  Returns (solutions, var-column order)."""
+    from pyrdf2vec_ray.ops.join import broadcast_join
+
     if not scans:
         raise ValueError("empty BGP")
     n_const = [sum(not _is_var(t) for t in p) for p in patterns]
@@ -360,26 +409,27 @@ def _eval_group(
         bound |= set(scans[nxt][1])
 
     o = np.dtype("O")
-    acc, acc_vars = scans[order[0]]
+    acc, acc_vars, _ = scans[order[0]]
     for i in order[1:]:
-        scan, svars = scans[i]
+        scan, svars, local = scans[i]
         on = [v for v in acc_vars if v in svars]
-        # adaptive join strategy (the AQE move): the accumulating
-        # solution set starts at the most-selective pattern and often
-        # stays small — materialize it, and when it is under the
-        # broadcast threshold ship it to every scan task instead of
-        # bucket-shuffling BOTH sides.  Each broadcast hop removes two
-        # all-to-all barriers from the chain; past the threshold the
-        # plan degrades gracefully to the co-partitioning hash join.
-        # Re-executing `scan` per hop is a pid-filter over the PINNED
-        # multiplexed tagged set (see _multiplex_scans), not a corpus
-        # re-scan.
+        if local is not None:
+            # the scan's size is known and small: ship it to every
+            # task of the accumulating chain, which stays lazy — the
+            # hop fuses into the chain's map stage
+            acc = broadcast_join(acc, local, on=on)
+            acc_vars = (list(acc_vars)
+                        + [v for v in svars if v not in acc_vars])
+            continue
+        # a large (or unsized property-path) scan: materialize the
+        # accumulating solutions and broadcast them while small, else
+        # ONE co-partitioning hash shuffle.  Re-executing `scan` is a
+        # pid-filter over the PINNED multiplexed tagged set (see
+        # _multiplex_scans), not a corpus re-scan.
         if broadcast_threshold > 0:
             acc = acc.materialize()
         if (broadcast_threshold > 0
                 and acc.count() <= broadcast_threshold):
-            from pyrdf2vec_ray.ops.join import broadcast_join
-
             acc = broadcast_join(scan, acc, on=on)
             # merge column order: scan cols, then acc extras
             acc_vars = (list(svars)
@@ -504,14 +554,13 @@ def bgp_match(
     plain = [(gi, pi) for gi, g in enumerate(groups)
              for pi, p in enumerate(g) if not _is_path(p[1])]
     mux = _multiplex_scans(
-        triples, [groups[gi][pi] for gi, pi in plain])
-    scan_map: dict[tuple[int, int], tuple[ray.data.Dataset, list[str]]]
+        triples, [groups[gi][pi] for gi, pi in plain], broadcast_threshold)
     scan_map = dict(zip(plain, mux))
     for gi, g in enumerate(groups):
         for pi, p in enumerate(g):
             if _is_path(p[1]):
-                scan_map[(gi, pi)] = _pattern_scan(
-                    triples, p, closure_rounds)
+                scan_map[(gi, pi)] = (
+                    *_pattern_scan(triples, p, closure_rounds), None)
 
     def group_scans(gi: int) -> list:
         return [scan_map[(gi, pi)] for pi in range(len(groups[gi]))]

@@ -228,6 +228,8 @@ def sameas_canonicalize(
         return pa.table({"subj": kept["subj"], "pred": kept["pred"],
                          "obj": kept["obj"]})
 
+    o = np.dtype("O")
+    i8 = np.dtype("int64")
     # the sameAs edge set is alias-table-scale (tiny next to the fact
     # corpus) — materialize it once: the no-alias case short-circuits,
     # and the id joins below re-read the pinned blocks instead of
@@ -284,8 +286,6 @@ def sameas_canonicalize(
             edges.map_batches(col_as("b", "name"), batch_format="pyarrow"))
         ids = dense_ids(names, "name", num_buckets=num_buckets)
 
-        o = np.dtype("O")
-        i8 = np.dtype("int64")
         ida = ids.map_batches(
             lambda b: pa.table({"a": b["name"], "ia": b["vid"]}),
             batch_format="pyarrow")

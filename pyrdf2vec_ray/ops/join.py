@@ -234,14 +234,17 @@ def broadcast_join(
 
     The driver holds the right table exactly once (bounded by
     definition of "small side"); workers read the broadcast zero-copy
-    from the object store, never per batch."""
+    from the object store, never per batch.  ``right`` may also be an
+    Arrow table the caller already holds, which skips the collect
+    job."""
     if how not in ("inner", "left"):
         raise ValueError("how must be 'inner' or 'left'")
     import ray
 
     from pyrdf2vec_ray.util import to_table
 
-    rdf = to_table(right).to_pandas()
+    rdf = (right if isinstance(right, pa.Table)
+           else to_table(right)).to_pandas()
     for key in on:
         if key not in rdf.columns:
             raise ValueError(f"join key {key!r} missing from right")

@@ -708,6 +708,9 @@ def sparql_query(
                  if a[0] not in ("COUNT_DISTINCT", "GROUP_CONCAT")]
         cdist = [a for a in q["aggs"] if a[0] == "COUNT_DISTINCT"]
         gcat = [a for a in q["aggs"] if a[0] == "GROUP_CONCAT"]
+        # one aggregated Dataset per part (plain aggs, each COUNT
+        # DISTINCT, each GROUP_CONCAT), joined on the group key below
+        parts = []
         out = None
         if not plain:
             pass
@@ -761,6 +764,8 @@ def sparql_query(
                     return batch
 
                 out = out.map_batches(finish_avg, batch_format="pandas")
+        if out is not None:
+            parts.append(out)
         for _, v, alias in cdist:
             # exact distinct count: ONE (group, value)-distinct bucket
             # shuffle (shuffle.distinct runs a per-batch distinct
@@ -768,7 +773,6 @@ def sparql_query(
             # solution rows), then a group-scale count.  Joined back to
             # the plain aggregates with a GROUP-CARDINALITY-sized
             # hash_join — never a corpus-scale exchange.
-            from pyrdf2vec_ray.ops.join import hash_join
             from pyrdf2vec_ray.shuffle import distinct as _distinct
 
             cols = list(dict.fromkeys(list(gvars) + [v[1:]]))
@@ -776,8 +780,7 @@ def sparql_query(
                 _distinct(sols.select_columns(cols), cols,
                           num_buckets=num_buckets),
                 list(gvars), count_col=alias, num_buckets=num_buckets)
-            out = cd if out is None else hash_join(
-                out, cd, on=list(gvars), num_buckets=num_buckets)
+            parts.append(cd)
         for _, v, alias in gcat:
             # GROUP_CONCAT = the DISTINCT values sorted and
             # space-joined (deterministic — SPARQL leaves the order
@@ -788,7 +791,6 @@ def sparql_query(
             # per-group value list is group-cardinality-bounded by the
             # distinct (a group with unbounded distinct values has an
             # unbounded concat on ANY engine).
-            from pyrdf2vec_ray.ops.join import hash_join
             from pyrdf2vec_ray.shuffle import bucket_apply
             from pyrdf2vec_ray.shuffle import distinct as _distinct
 
@@ -806,8 +808,29 @@ def sparql_query(
             gc = bucket_apply(d, list(gvars), concat_bucket,
                               num_buckets=num_buckets,
                               batch_format="pandas")
-            out = gc if out is None else hash_join(
-                out, gc, on=list(gvars), num_buckets=num_buckets)
+            parts.append(gc)
+        if global_agg:
+            # the implicit group exists even over NO solutions: one
+            # row with COUNT = 0 and every other aggregate unbound
+            # (SQL NULL), in the column order the joins below emit.
+            # Every part reduces the same solutions, so one empty part
+            # means all are.
+            parts[0] = parts[0].materialize()
+            if parts[0].count() == 0:
+                avg = [a for fn, _, a in plain if fn == "AVG"]
+                aliases = ([a for fn, _, a in plain if fn != "AVG"] + avg
+                           + [a for _, _, a in cdist + gcat])
+                zero = {a for fn, _, a in plain + cdist
+                        if fn in ("COUNT", "COUNT_DISTINCT")}
+                parts = [ray.data.from_pandas(pd.DataFrame(
+                    {"__g": [0], **{a: [0 if a in zero else None]
+                                    for a in aliases}}))]
+        from pyrdf2vec_ray.ops.join import hash_join
+
+        out = parts[0]
+        for part in parts[1:]:
+            out = hash_join(out, part, on=list(gvars),
+                            num_buckets=num_buckets)
         if "having" in q:
             conds = q["having"]
 

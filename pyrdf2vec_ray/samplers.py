@@ -193,9 +193,12 @@ class FittedSampler:
         return _finalize_weights(self.spec, w, self.in_deg[other_ids])
 
 
-def _finalize_weights(spec: SamplerSpec, w: np.ndarray, in_deg: np.ndarray):
+def _finalize_weights(
+    spec: SamplerSpec, w: np.ndarray, in_deg: np.ndarray | None
+):
     """get_weights pipeline tail (sampler.py:111-136), shared by both
-    backends: inverse → split (drop zero-in-degree targets) → normalize."""
+    backends: inverse → split (drop zero-in-degree targets) → normalize.
+    ``in_deg`` is read only when ``spec.split`` is set."""
     keep = np.arange(len(w))
     if spec.inverse and len(w):
         w = w.max() - (w - w.min())
@@ -270,7 +273,10 @@ class NameFittedSampler:
             return keys[order], vals[order]
 
         fs = NameFittedSampler(spec=spec)
-        fs.in_keys, fs.in_deg = counts(["obj"])
+        # in-degree is a full exchange over the triples; only the split
+        # divisor and the objfreq weights read it
+        if spec.split or spec.kind == "objfreq":
+            fs.in_keys, fs.in_deg = counts(["obj"])
         if spec.kind == "objfreq":
             fs.node_keys, fs.node_w = fs.in_keys, fs.in_deg
         elif spec.kind == "predfreq":
@@ -326,5 +332,6 @@ class NameFittedSampler:
             w = nc * ((_sorted_lookup(self.pred_keys, self.pred_w, preds) + 1.0) / 2.0)
         else:
             raise AssertionError(k)
-        in_deg = _sorted_lookup(self.in_keys, self.in_deg, others)
+        in_deg = (_sorted_lookup(self.in_keys, self.in_deg, others)
+                  if self.spec.split else None)
         return _finalize_weights(self.spec, w.astype(np.float64), in_deg)

@@ -3,12 +3,27 @@
 Ray Data's ``groupby(cols)`` aggregate is a global SORT by the key —
 expensive for wide string keys and pathological for many tiny blocks.
 The patterns here shuffle by a single derived int64 bucket instead
-(vectorized polars row-hash), then do the exact per-key work vectorized
-WITHIN each bucket (arrow/pandas kernels).  Semantics stay exact — the
-bucket only co-locates equal keys; nothing is approximated.
+(vectorized polars row-hash mod ``num_buckets``), then do the exact
+per-key work vectorized WITHIN each bucket (arrow/pandas kernels).
+Semantics stay exact — the bucket only co-locates equal keys; nothing
+is approximated.
 
-Measured on sf0.1 triples dedup (1.36M rows, 8 CPUs): 60.9s sort-based
-groupby → 6.4s bucket-hash.
+The exchange (`bucket_apply`) is one range-partitioning sort on the
+bucket column whose boundaries are known up front: bucket ids are
+exactly ``0..n-1``, so the boundaries are ``1..n-1`` and Ray runs no
+sampling job.  Each reduce output block then holds exactly one whole
+bucket, and the kernel runs once per block (``map_batches`` with
+``batch_size=None``; empty buckets never reach it).  The map side runs
+one task per input block — there is no extra split of the input, so a
+caller that needs more map-side parallelism repartitions its input.
+
+Measured on perfbench docs-heavy's 160k triples (4 input blocks, 16
+buckets, one Ray CPU on a shared 4-vCPU VM, median of 5 warm runs):
+``bucket_count`` 1.12 s → 0.71 s and ``distinct`` 0.89 s → 0.51 s
+against the earlier ``repartition(n)`` + ``groupby("bucket")
+.map_groups`` plan, whose sort sampled its boundaries.  Ray's
+``HASH_SHUFFLE`` strategy (``repartition(keys=...)``) did not finish
+either op in 300 s at ``num_cpus=1``.
 
 ``num_buckets`` sizing at scale: ≈ input_bytes / target_partition_bytes
 (128 MiB); each bucket must fit a worker's heap.  Hot single keys are
@@ -61,24 +76,32 @@ def bucket_apply(
     """ONE int-bucket shuffle, then `bucket_fn(bucket_frame)` — the frame
     holds ALL rows of every key hashed to that bucket (bucket col already
     dropped), so per-key logic runs as a vectorized kernel per bucket, not
-    per-key Ray tasks.  `pre` is an optional per-batch combiner applied
-    before the shuffle."""
+    per-key Ray tasks.  `bucket_fn` runs exactly once per non-empty
+    bucket and never sees an empty frame.  `pre` is an optional
+    per-batch combiner applied before the shuffle."""
     if num_buckets is None:
         num_buckets = default_num_buckets()
     if pre is not None:
         ds = ds.map_batches(pre, batch_format="pyarrow")
 
     def per_bucket(g):
+        if len(g) == 0:
+            return
         if batch_format == "pyarrow":
             g = g.drop_columns(["bucket"])
         else:
             g = g.drop(columns=["bucket"])
-        return bucket_fn(g)
+        yield bucket_fn(g)
 
-    bucketed = add_bucket(ds, key_cols, num_buckets).repartition(num_buckets)
-    return bucketed.groupby("bucket").map_groups(
-        per_bucket, batch_format=batch_format
-    )
+    # bucket ids are exactly 0..n-1, so the range-partition boundaries
+    # are known up front: no sampling job, and every sorted output block
+    # is one whole bucket (at least two partitions — an empty boundary
+    # list would make Ray sample instead)
+    bounds = list(range(1, max(num_buckets, 2)))
+    bucketed = add_bucket(ds, key_cols, num_buckets).sort(
+        "bucket", boundaries=bounds)
+    return bucketed.map_batches(
+        per_bucket, batch_size=None, batch_format=batch_format)
 
 
 def bucket_agg(

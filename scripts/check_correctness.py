@@ -2,14 +2,23 @@
 entry at a given sf dir and compare row-count + order-insensitive values
 against oracle_sql() via DuckDB.  Usage:
 
-    python scripts/check_correctness.py [sf_dir] [query ...]
+    python scripts/check_correctness.py [sf_dir] [query-or-glob ...]
+
+e.g. ``python scripts/check_correctness.py testdata/sf0.01 'kg_bgp_*'``
+(quote globs so the shell leaves them alone).
 """
 
+import fnmatch
 import os
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = str(Path(__file__).resolve().parent.parent)
+sys.path.insert(0, ROOT)
+# Ray's workers import the package too, from whatever the working dir is
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
 
 import duckdb
 import numpy as np
@@ -50,7 +59,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    only = sys.argv[2:]
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
@@ -67,7 +76,7 @@ def main():
     failures = 0
     report = {}
     for name, fn in qs.items():
-        if only and name not in only:
+        if only and not any(fnmatch.fnmatchcase(name, pat) for pat in only):
             continue
         tic = time.perf_counter()
         try:

@@ -6,6 +6,7 @@ distinct projection under select, and the disconnected-BGP guard."""
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data
 
@@ -220,3 +221,85 @@ def test_property_path_bounded_rounds():
     out = bgp_match(_chain_ds(), [("a", "next+", "?x")],
                     closure_rounds=0)
     assert _rows(out, ["x"]) == {("b",)}
+
+
+def _tpch_like_triples() -> pd.DataFrame:
+    """A small order/part/supplier graph in the TPC-H KG's shape: the
+    one nation of region:2 keeps the seed of the six-pattern BGP at a
+    single row."""
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    rows = [(f"nation:{n}", "in_region", f"region:{2 if n == 2 else n % 2}")
+            for n in range(5)]
+    rows += [(f"customer:{c}", "in_nation", f"nation:{rng.integers(5)}")
+             for c in range(12)]
+    rows += [(f"supplier:{s}", "in_nation", f"nation:{rng.integers(5)}")
+             for s in range(6)]
+    rows += [(f"order:{o}", "placed_by", f"customer:{rng.integers(12)}")
+             for o in range(30)]
+    rows += [(f"order:{rng.integers(30)}", "contains",
+              f"part:{rng.integers(10)}") for _ in range(60)]
+    rows += [(f"part:{p}", "supplied_by", f"supplier:{rng.integers(6)}")
+             for p in range(10) for _ in range(3)]
+    return pd.DataFrame(rows, columns=["subj", "pred", "obj"]) \
+        .drop_duplicates().reset_index(drop=True)
+
+
+_SIX = [("?o", "placed_by", "?c"), ("?c", "in_nation", "?n"),
+        ("?n", "in_region", "region:{r}"), ("?o", "contains", "?p"),
+        ("?p", "supplied_by", "?s"), ("?s", "in_nation", "?n")]
+
+
+def test_join_plans_agree_with_duckdb(monkeypatch):
+    """Every join plan — scan broadcast (default threshold), acc
+    broadcast then hash join (threshold 1), hash join only (0) — and
+    every pattern order returns the DuckDB self-join's solution set."""
+    import duckdb
+
+    import pyrdf2vec_ray.ops.bgp as bgp_mod
+    import pyrdf2vec_ray.ops.join as join_mod
+
+    tri = _tpch_like_triples()
+    region = 2
+    con = duckdb.connect()
+    con.register("t", tri)
+    want = set(con.execute(f"""
+        SELECT DISTINCT a.subj, a.obj, b.obj, d.obj, e.obj
+        FROM t a JOIN t b ON b.subj = a.obj AND b.pred = 'in_nation'
+        JOIN t c ON c.subj = b.obj AND c.pred = 'in_region'
+                 AND c.obj = 'region:{region}'
+        JOIN t d ON d.subj = a.subj AND d.pred = 'contains'
+        JOIN t e ON e.subj = d.obj AND e.pred = 'supplied_by'
+        JOIN t f ON f.subj = e.obj AND f.pred = 'in_nation'
+                 AND f.obj = b.obj
+        WHERE a.pred = 'placed_by'
+    """).fetchall())
+    assert want
+
+    plans: list[str] = []
+    real_bc, real_hj = join_mod.broadcast_join, bgp_mod.hash_join
+
+    def bc(left, right, **kw):
+        plans.append("scan" if isinstance(right, pa.Table) else "acc")
+        return real_bc(left, right, **kw)
+
+    def hj(left, right, **kw):
+        plans.append("hash")
+        return real_hj(left, right, **kw)
+
+    monkeypatch.setattr(join_mod, "broadcast_join", bc)
+    monkeypatch.setattr(bgp_mod, "hash_join", hj)
+    six = [(s, p, o.format(r=region)) for s, p, o in _SIX]
+    ds = ray.data.from_pandas(tri)
+    for threshold, expect in ((200_000, {"scan"}), (1, None),
+                              (0, {"hash"})):
+        for pats in (six, six[::-1], six[3:] + six[:3]):
+            plans.clear()
+            out = bgp_match(ds, pats, broadcast_threshold=threshold)
+            assert _rows(out, ["o", "c", "n", "p", "s"]) == want
+            if expect is not None:
+                assert set(plans) == expect
+            else:
+                # the single-row seed broadcasts, the rest hash-join
+                assert plans[0] == "acc" and "hash" in plans

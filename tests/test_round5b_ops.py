@@ -80,6 +80,23 @@ def test_sameas_two_disjoint_classes_do_not_merge():
     assert got == {("a1", "p", "b1")}
 
 
+def test_sameas_union_find_path_with_alias_map_over_threshold():
+    """2 sameAs edges fit a threshold of 3, so the classes come from
+    the driver union-find; their 4 names do not, so the fact rewrite
+    takes the hash-join path."""
+    from pyrdf2vec_ray.ops.er import sameas_canonicalize
+
+    tri = _tri([
+        ("a2", "owl:sameAs", "a1"),
+        ("b2", "owl:sameAs", "b1"),
+        ("a2", "p", "b2"),
+        ("c", "q", "a2"),
+    ])
+    out = sameas_canonicalize(tri, broadcast_threshold=3).to_pandas()
+    got = set(map(tuple, out[["subj", "pred", "obj"]].values))
+    assert got == {("a1", "p", "b1"), ("c", "q", "a1")}
+
+
 # ---- SPARQL FILTER [NOT] EXISTS -------------------------------------------
 
 _KG = [

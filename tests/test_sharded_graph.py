@@ -145,12 +145,14 @@ def test_dataset_roots_identical_to_list_roots(pair):
 
 @pytest.mark.parametrize("kind,inverse,split", [
     ("uniform", False, False),
+    ("uniform", False, True),
     ("objfreq", False, False),
     ("objfreq", True, True),
     ("predfreq", False, False),
     ("objpredfreq", False, False),
     ("wide", False, False),
     ("pagerank", False, False),
+    ("pagerank", False, True),
 ])
 def test_dfs_sampled_walks_identical(pair, kind, inverse, split):
     """Same RNG stream + same candidate order + bit-equal weights →
@@ -238,6 +240,21 @@ def test_name_sampler_weights_match_broadcast(pair):
         kn, pn = f_n.hop_probabilities(pred_names, obj_names)
         assert kb.tolist() == kn.tolist()
         np.testing.assert_array_equal(pb, pn)
+
+
+def test_name_sampler_fits_in_degree_only_when_read(pair):
+    """The in-degree count is a full exchange over the triples: fitted
+    only for the split divisor and the objfreq weights."""
+    from pyrdf2vec_ray.samplers import NameFittedSampler
+
+    _, sh = pair
+    for kind, split, fitted in (("uniform", False, False),
+                                ("uniform", True, True),
+                                ("pagerank", False, False),
+                                ("objfreq", False, True)):
+        fs = NameFittedSampler.fit(SamplerSpec(kind=kind, split=split),
+                                   sh.triples_dataset())
+        assert (fs.in_deg is not None) == fitted, (kind, split)
 
 
 def test_literals_identical_across_backends(pair):

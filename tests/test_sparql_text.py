@@ -153,6 +153,26 @@ def test_count_without_group_by_is_global_aggregate():
     assert list(out.columns) == ["n"]
 
 
+def test_global_aggregate_over_no_solutions_is_one_row():
+    # the implicit group exists over an empty solution set too: one row,
+    # COUNT = 0 and the other aggregates unbound (DuckDB: 0 and NULL)
+    out = sparql_query(_ds(), """
+        SELECT (COUNT(?w) AS ?n) (MIN(?c) AS ?lo) (AVG(?c) AS ?mean)
+               (COUNT(DISTINCT ?c) AS ?nc)
+        WHERE { ?w works_in ?c . }
+    """).to_pandas()
+    assert list(out.columns) == ["n", "lo", "mean", "nc"]
+    assert len(out) == 1
+    assert out.loc[0, "n"] == 0 and out.loc[0, "nc"] == 0
+    assert pd.isna(out.loc[0, "lo"]) and pd.isna(out.loc[0, "mean"])
+    # HAVING still filters the one group
+    out = sparql_query(_ds(), """
+        SELECT (COUNT(?w) AS ?n) WHERE { ?w works_in ?c . }
+        HAVING (?n > 0)
+    """).to_pandas()
+    assert len(out) == 0
+
+
 def test_describe_form():
     out = sparql_query(_ds(), """
         DESCRIBE ?city WHERE { ?city in_country "be" . }
