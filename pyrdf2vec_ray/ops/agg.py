@@ -1588,7 +1588,7 @@ def calibration_bins(
     integer arithmetic only, so the SQL oracle bins identically
     (``CAST(score * n_bins / (score_max + 1) AS BIGINT)`` with BIGINT
     division truncating like floor for non-negative scores; negative
-    scores raise here).
+    scores raise here, as does a ``score_max`` below the observed max).
 
     Scale shape: the shared `_score_class_counts` reduction, then a
     bin fold over the distinct-score table (value-domain scale, stated
@@ -1598,8 +1598,12 @@ def calibration_bins(
     c = _score_class_counts(ds, score_col, label_col, num_buckets)
     if len(c) and int(c["score"].min()) < 0:
         raise ValueError("calibration_bins needs non-negative scores")
+    observed = int(c["score"].max()) if len(c) else 0
     if score_max is None:
-        score_max = int(c["score"].max()) if len(c) else 0
+        score_max = observed
+    elif score_max < observed:
+        raise ValueError(f"calibration_bins score_max {score_max} is "
+                         f"below the observed max score {observed}")
     s = c["score"].to_numpy(np.int64)
     pos = c["pos"].to_numpy(np.int64)
     tot = pos + c["neg"].to_numpy(np.int64)

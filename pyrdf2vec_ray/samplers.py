@@ -250,12 +250,17 @@ class NameFittedSampler:
     out_deg: np.ndarray | None = None
 
     @staticmethod
-    def fit(spec: SamplerSpec, triples_ds) -> "NameFittedSampler":
+    def fit(spec: SamplerSpec, triples) -> "NameFittedSampler":
+        """``triples`` is a zero-arg callable returning the triples
+        Dataset, called only by the branches that count over it: a
+        parquet-backed Dataset starts Ray tasks to sample its files as
+        soon as it is built, and e.g. ``uniform`` without ``split``
+        reads nothing."""
         from pyrdf2vec_ray.shuffle import bucket_count, distinct
         from pyrdf2vec_ray.util import to_table
 
         def counts(cols: list[str]):
-            t = to_table(bucket_count(triples_ds, cols, "n"))
+            t = to_table(bucket_count(triples(), cols, "n"))
             if len(cols) == 1:
                 keys = np.asarray(t[cols[0]].to_numpy(zero_copy_only=False))
             else:
@@ -291,7 +296,7 @@ class NameFittedSampler:
             # nx.DiGraph; the collected pair list is E×2 ids, far smaller
             # than the triple strings, and the score vector is the
             # broadcast fitted state either way
-            pairs = to_table(distinct(triples_ds, ["subj", "obj"]))
+            pairs = to_table(distinct(triples(), ["subj", "obj"]))
             src = np.asarray(pairs["subj"].to_numpy(zero_copy_only=False))
             dst = np.asarray(pairs["obj"].to_numpy(zero_copy_only=False))
             # factorize(sort=True), not np.unique: comparison-sorting

@@ -9,11 +9,16 @@ instances; label propagation runs through both:
                            L_{n-1}(pinst) of triples with obj = v))))
   H(x) = str(md5(x).digest()[:md5_bytes])   (or x when md5_bytes is None)
 
-Computed here as k vectorized passes over the CSR edge arrays (pandas
-groupby for the sorted-distinct-join).  The distributed formulation is k
-rounds of edges⋈labels + groupby(child) (SURVEY.md A9); this
-single-task form serves graphs that fit the object store and is itself
-run inside one Ray task when used from the pipeline.
+Two fits with byte-identical output:
+
+- ``wl_labels``: k vectorized passes over the broadcast CSR edge arrays,
+  for graphs that fit one task.
+- ``wl_labels_from_dataset``: the join-rounds form over the triples
+  Dataset (SURVEY.md A9) backing the sharded graph.  L1(pinst) depends
+  on the triple alone, so one obj-keyed exchange yields the entity
+  names and the suffixes of rounds 0 and 1; rounds 2+ are block-local
+  maps over its materialized, obj-bucketed output.  Ray Data jobs: 1
+  for k ≤ 2, 2k − 3 for k > 2.
 """
 
 from __future__ import annotations
@@ -92,6 +97,29 @@ def _hash_distinct(
     return hashed[codes]
 
 
+def _sorted_distinct_join(obj_codes: np.ndarray, n: int,
+                          lab_codes: np.ndarray, lab_uniq) -> np.ndarray:
+    """The WL entity suffix: for every object code v < n, "-".join of the
+    DISTINCT labels ``lab_uniq[lab_codes[i]]`` of the rows i with
+    ``obj_codes[i] == v`` ("" for none), in ``lab_uniq`` order — sorted
+    labels (factorize(sort=True)) make it the sorted-distinct-join.  One
+    int64 unique over (obj * L + code) yields the per-object distinct
+    labels already sorted — no pandas lexsort/groupby pass."""
+    L = max(1, len(lab_uniq))
+    # packing bound: n * L must fit int64 (n≈2e5, L≈2e6 at sf0.1 → 4e11;
+    # revisit packing for graphs past ~1e9 distinct labels)
+    uk = np.unique(obj_codes.astype(np.int64) * L + lab_codes)
+    objs_u = uk // L
+    labs_u = uk % L
+    starts = np.flatnonzero(np.diff(objs_u, prepend=-1))
+    ends = np.r_[starts[1:], len(uk)]
+    lab_uniq = np.asarray(lab_uniq, dtype=object)
+    out = np.full(n, "", dtype=object)
+    for s, e in zip(starts, ends):
+        out[objs_u[s]] = "-".join(lab_uniq[labs_u[s:e]])
+    return out
+
+
 def wl_labels(
     g: LocalGraph, wl_iterations: int, md5_bytes: int | None = 8
 ) -> dict[str, list[str]]:
@@ -135,19 +163,8 @@ def wl_labels(
                 lab_codes, lab_uniq = rank[pin_codes], srt
         if pin_codes is None:
             lab_codes, lab_uniq = pd.factorize(pin_labels, sort=True)
-        L = max(1, len(lab_uniq))
-        # packing bound: nv * L must fit int64 (nv≈2e5, L≈2e6 at sf0.1 →
-        # 4e11; revisit packing for graphs past ~1e9 distinct labels)
-        key = obj_per_edge * L + lab_codes
-        uk = np.unique(key)
-        objs_u = uk // L
-        labs_u = uk % L
-        starts = np.flatnonzero(np.r_[True, objs_u[1:] != objs_u[:-1]])
-        ends = np.r_[starts[1:], len(uk)]
-        lab_uniq_obj = np.asarray(lab_uniq, dtype=object)
-        suffix_full = np.full(nv, "", dtype=object)
-        for s, e in zip(starts, ends):
-            suffix_full[objs_u[s]] = "-".join(lab_uniq_obj[labs_u[s:e]])
+        suffix_full = _sorted_distinct_join(obj_per_edge, nv, lab_codes,
+                                            lab_uniq)
 
         # vectorized concat (C-level object add) + distinct-only hashing
         new_ent = _hash_distinct(ent_labels + "-" + suffix_full, md5_bytes)
@@ -171,205 +188,152 @@ def wl_labels_from_dataset(
     join-rounds formulation backing the sharded graph (no CSR, the
     per-triple state NEVER lands on the driver).
 
-    Round 5 shape (TWO exchanges total, independent of wl_iterations;
-    rounds 3-4 paid one suffix shuffle per iteration):
-      0. FUSED round: every triple emits (name=obj, pin=pred) and a
-         (name=subj, pin=SENTINEL) presence row; ONE obj/name-keyed
-         bucket shuffle yields per-name suffix_0 (sorted-distinct real
-         pins) AND the complete entity name set (vocabulary-scale
-         collect) — E_0 = names, E_1 = H(E_0 + "-" + suffix_0).
-      1. T = per-triple (subj, obj, pin=H(pred + "-" + subj)) is
-         bucket-partitioned by hash(obj) ONCE — the suffix key never
-         changes across iterations, so later rounds need NO exchange:
-      Then per remaining iteration, over the obj-bucketed T:
-      a. suffix(obj) = block-local groupby (every row of an obj lives
-         in one block) + a vocabulary-scale collect; a driver-side
-         merge re-splits the few objs a block split may straddle
-         (loop-round pins are md5 hex, so '-' rejoin is unambiguous);
-      b. T' = map_batches: pin ← H(pin + "-" + E[subj]) via the
-         broadcast E (a lookup join, no shuffle, block-preserving);
-      c. E' = H(E + "-" + suffix) driver-side (vocabulary-scale).
+    ``pin_1 = H(pred + "-" + subj)`` depends on the triple alone, so ONE
+    obj-keyed exchange yields the entity name set, ``suffix_0`` (over
+    the preds) and ``suffix_1`` (over the pin_1 labels) of every name:
+    E_1 = H(E_0 + "-" + suffix_0), E_2 = H(E_1 + "-" + suffix_1).  The
+    map emits every triple as (obj, pred, pin_1, subj) plus a presence
+    row per batch-distinct subject; the bucket kernel returns one
+    vocabulary row (name, suffix_0, suffix_1) per name, and the
+    per-triple (subj, obj, pin_1) rows only when a later round reads
+    them.
+
+    Round n ≥ 2 (only for wl_iterations > 2) is a block-local map over
+    the materialized obj-bucketed rows — the suffix key never changes,
+    so no further exchange: pin_n = H(pin_{n-1} + "-" + E_{n-1}[subj])
+    through the broadcast entity labels, then suffix_n per obj; the
+    driver takes the vocabulary rows and sets E_{n+1} = H(E_n + "-" +
+    suffix_n).  The last round emits no per-triple rows and is not
+    materialized.
+
+    Ray Data jobs: 1 for wl_iterations ≤ 2 (the exchange, collected);
+    2k − 3 for k > 2 (materialize + vocabulary take per generation that
+    a later round reads, one collect for the last).
 
     The returned name → [label_0..k] map is byte-identical to
     ``wl_labels`` over the broadcast CSR (pinned by tests)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     import ray
-    import ray.data
 
     from pyrdf2vec_ray.shuffle import bucket_apply
     from pyrdf2vec_ray.util import to_table
 
     if num_buckets is None:
         # size buckets by DATA VOLUME (~85k triple rows each), not CPU
-        # count: the per-iteration shuffles are overhead-bound when rows
-        # per bucket get small (measured 48.8s @ 32 buckets vs 26.1s @ 16
-        # on 1.36M rows); count() on the parquet-backed triples Dataset
-        # is metadata-only
+        # count: the exchange is overhead-bound when rows per bucket get
+        # small (measured 48.8s @ 32 buckets vs 26.1s @ 16 on 1.36M
+        # rows); count() on the parquet-backed triples Dataset is
+        # metadata-only
         try:
             num_buckets = max(4, min(256, triples_ds.count() // 85_000 + 1))
         except Exception:
             num_buckets = None
 
-    SENT = "\x00"   # engine strings never contain NUL
+    # tagged-union blocks: vocabulary rows (subj null: obj = name,
+    # suffix0, suffix) and per-triple rows (suffix null: subj, obj, pin)
+    schema = pa.schema([(c, pa.string()) for c in
+                        ("subj", "obj", "pin", "suffix0", "suffix")])
 
-    # FUSED iteration 0: one exchange produces BOTH the entity name
-    # set (every subj/obj, sentinel presence rows) and suffix_0
-    def fused_rows(batch: pa.Table) -> pa.Table:
-        subj = batch["subj"].combine_chunks().cast(pa.string())
-        obj = batch["obj"].combine_chunks().cast(pa.string())
-        pred = batch["pred"].combine_chunks().cast(pa.string())
-        n = len(subj)
+    def tagged(g: pa.Table, keep: bool, suffix_of: dict) -> pa.Table:
+        """``g`` holds every row of its objs; triple rows have a subj.
+        One vocabulary row per distinct obj of ``g``, with the suffix of
+        each ``suffix_of`` label column over the triple rows, and the
+        triple rows themselves when ``keep``."""
+        real = g["subj"].is_valid()
+        codes, names = pd.factorize(g["obj"].to_numpy(zero_copy_only=False))
+        t = g.filter(real)
+        t_codes = codes[real.to_numpy(zero_copy_only=False)]
+        vocab = {"obj": pa.array(names, pa.string())}
+        for out, col in suffix_of.items():
+            lab_codes, lab_uniq = pd.factorize(
+                t[col].to_numpy(zero_copy_only=False), sort=True)
+            vocab[out] = pa.array(_sorted_distinct_join(
+                t_codes, len(names), lab_codes, lab_uniq), pa.string())
+        parts = [vocab]
+        if keep:
+            parts.append({c: t[c] for c in ("subj", "obj", "pin")})
+        return pa.concat_tables([pa.table(
+            {c: p.get(c, pa.nulls(len(p["obj"]), pa.string()))
+             for c in schema.names}, schema=schema) for p in parts])
+
+    def triple_rows(batch: pa.Table) -> pa.Table:
+        subj, pred, obj = (batch[c].combine_chunks().cast(pa.string())
+                           for c in ("subj", "pred", "obj"))
+        # pin_1 (and suffix_1) are read from wl_iterations 2 on
+        pin = pred if wl_iterations < 2 else pa.array(_hash_distinct(
+            pred.to_numpy(zero_copy_only=False) + "-"
+            + subj.to_numpy(zero_copy_only=False), md5_bytes), pa.string())
+        present = pc.unique(subj)
+        none = pa.nulls(len(present), pa.string())
         return pa.table({
-            "obj": pa.concat_arrays([obj, subj]),
-            "pin": pa.concat_arrays(
-                [pred, pa.array([SENT] * n, pa.string())]),
+            "obj": pa.concat_arrays([obj, present]),
+            "pred": pa.concat_arrays([pred, none]),
+            "pin": pa.concat_arrays([pin, none]),
+            "subj": pa.concat_arrays([subj, none]),
         })
 
-    def pre_dedup(batch: pa.Table) -> pa.Table:
-        # per-batch (obj, pin) distinct combiner: early iterations'
-        # pin labels are low-cardinality (iteration 0 = predicates),
-        # so the suffix shuffle moves a fraction of the triple rows
-        return (batch.select(["obj", "pin"])
-                .group_by(["obj", "pin"]).aggregate([]))
+    def first_round(g: pa.Table) -> pa.Table:
+        return tagged(g, wl_iterations > 2, {"suffix0": "pred"} | (
+            {"suffix": "pin"} if wl_iterations >= 2 else {}))
 
-    def fused_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates()
-        real = g[g["pin"] != SENT].sort_values(["obj", "pin"])
-        # pandas returns a SERIES from an empty SeriesGroupBy.agg — a
-        # bucket can legitimately hold only sentinel presence rows
-        # (subjects that never appear as an object)
-        if real.empty:
-            suf = pd.DataFrame({"obj": pd.Series(dtype=object),
-                                "suffix": pd.Series(dtype=object)})
-        else:
-            suf = (real.groupby("obj", as_index=False)["pin"]
-                       .agg("-".join)
-                       .rename(columns={"pin": "suffix"}))
-        names = pd.DataFrame({"obj": g["obj"].drop_duplicates()})
-        out = names.merge(suf, on="obj", how="left")
-        out["suffix"] = out["suffix"].fillna("")
-        return out
+    def collect(ds, more: bool):
+        """(vocabulary table, the materialized rows when ``more`` rounds
+        read them else None)."""
+        if not more:
+            return to_table(ds), None
+        ds = ds.materialize()
+        return to_table(ds.map_batches(
+            lambda b: b.filter(pc.is_null(b["subj"])),
+            batch_format="pyarrow")), ds
 
-    f0 = to_table(bucket_apply(
-        triples_ds.map_batches(fused_rows, batch_format="pyarrow"),
-        ["obj"], fused_bucket, num_buckets=num_buckets,
-        batch_format="pandas", pre=pre_dedup,
-    ))
-    raw_names = np.asarray(f0["obj"].to_numpy(zero_copy_only=False))
+    vocab, T = collect(bucket_apply(
+        triples_ds.map_batches(triple_rows, batch_format="pyarrow"),
+        ["obj"], first_round, num_buckets=num_buckets,
+    ), wl_iterations > 2)
+    raw_names = np.asarray(vocab["obj"].to_numpy(zero_copy_only=False))
     order = np.argsort(raw_names.astype(np.str_), kind="stable")
     ent_names = raw_names[order].astype(np.str_)
-    suffix0 = np.asarray(
-        f0["suffix"].to_numpy(zero_copy_only=False), dtype=object
-    )[order]
+    suffixes = [np.asarray(vocab[c].to_numpy(zero_copy_only=False),
+                           dtype=object)[order]
+                for c in ("suffix0", "suffix")]
 
     ent_lab = ent_names.astype(object).copy()
     history = [ent_lab.copy()]
-    if wl_iterations == 0:
-        return {str(n): [str(ent_lab[i])]
-                for i, n in enumerate(ent_names)}
+    for it in range(wl_iterations):
+        if it >= 2:
+            # pin_it = H(pin_{it-1} + "-" + E_{it-1}[subj]) through the
+            # broadcast labels (a lookup join, block-local), fused with
+            # the suffix grouping of the obj-bucketed rows
+            lab_ref = ray.put((ent_names, history[-2]))
 
-    # T_1: per-triple pin label = H(pred + "-" + E_0[subj]); E_0 is the
-    # identity labeling, so no broadcast pull is needed yet
-    def pin1(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[["subj", "obj", "pred"]].copy()
-        batch["pin"] = _hash_distinct(
-            batch["pred"].to_numpy(dtype=object) + "-"
-            + batch["subj"].to_numpy(dtype=object), md5_bytes)
-        return batch[["subj", "obj", "pin"]]
-
-    # Tagged-union layout: every materialized T generation carries BOTH
-    # the per-triple rows (kind=0: subj/obj/pin) AND the block-local
-    # suffix rows the NEXT driver step consumes (kind=1: obj/suffix) —
-    # so each iteration is ONE edge-scale pass (update pins + group
-    # suffixes, fused) plus a zero-copy Arrow filter for the
-    # vocabulary-scale suffix collect, instead of separate suffix and
-    # update jobs over the full T.
-    COLS = ["subj", "obj", "pin", "suffix", "kind"]
-
-    def _suffix_rows(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:  # empty SeriesGroupBy.agg returns a Series
-            return pd.DataFrame({"obj": pd.Series(dtype=object),
-                                 "suffix": pd.Series(dtype=object)})
-        s = g[["obj", "pin"]].drop_duplicates().sort_values(["obj", "pin"])
-        return (s.groupby("obj", as_index=False)["pin"].agg("-".join)
-                 .rename(columns={"pin": "suffix"}))
-
-    def _tagged(t_rows: pd.DataFrame) -> pd.DataFrame:
-        suf = _suffix_rows(t_rows)
-        t = t_rows[["subj", "obj", "pin"]].copy()
-        t["suffix"] = ""
-        t["kind"] = np.int8(0)
-        s = pd.DataFrame({"subj": "", "obj": suf["obj"].to_numpy(),
-                          "pin": "",
-                          "suffix": suf["suffix"].to_numpy(),
-                          "kind": np.int8(1)})
-        return pd.concat([t[COLS], s[COLS]], ignore_index=True)
-
-    T = None
-    if wl_iterations > 1:
-        # bucket by hash(obj) ONCE (the only loop exchange): after this
-        # every row of an obj sits in one block, so each iteration's
-        # suffix groupby is block-local; the bucket kernel already
-        # emits iteration 1's suffix rows
-        T = bucket_apply(
-            triples_ds.map_batches(pin1, batch_format="pandas"),
-            ["obj"], _tagged, num_buckets=num_buckets,
-            batch_format="pandas",
-        ).materialize()
-
-    ent_lab = _hash_distinct(ent_lab + "-" + suffix0, md5_bytes)
-    history.append(ent_lab.copy())
-
-    def take_suffix(batch: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-        return (batch.filter(pc.equal(batch["kind"], 1))
-                .select(["obj", "suffix"]))
-
-    for it in range(1, wl_iterations):
-        # a. suffix per obj: zero-copy filter of the tagged rows the
-        # previous edge-scale pass already grouped — NO exchange
-        suf = to_table(T.map_batches(take_suffix, batch_format="pyarrow"))
-        suf_obj = np.asarray(suf["obj"].to_numpy(zero_copy_only=False))
-        suf_val = np.asarray(
-            suf["suffix"].to_numpy(zero_copy_only=False), dtype=object)
-        # merge partials for objs a block split straddled (rare; loop
-        # pins are md5 hex so '-' resplit is exact)
-        if len(np.unique(suf_obj)) != len(suf_obj):
-            frame = pd.DataFrame({"obj": suf_obj, "suffix": suf_val})
-            frame = frame.groupby("obj", as_index=False)["suffix"].agg(
-                lambda parts: "-".join(
-                    sorted(set(p for s in parts for p in s.split("-")))))
-            suf_obj = frame["obj"].to_numpy()
-            suf_val = frame["suffix"].to_numpy(dtype=object)
-        suffix = np.full(len(ent_names), "", dtype=object)
-        pos = np.searchsorted(ent_names, suf_obj)
-        suffix[pos] = suf_val
-
-        # 2. pin update via the broadcast entity labels (lookup join)
-        # FUSED with the next round's suffix grouping; E_{n-1} = the
-        # level the NEXT round's pins need.  Skipped on the final round
-        # — no later suffix consumes it.
-        if it + 1 < wl_iterations:
-            lab_ref = ray.put((ent_names, history[-1]))
-
-            def update_and_group(batch: pd.DataFrame,
-                                 lab_ref=lab_ref) -> pd.DataFrame:
+            def next_round(batch: pa.Table, lab_ref=lab_ref,
+                           keep=it + 1 < wl_iterations) -> pa.Table:
                 names, labs = ray.get(lab_ref)
-                t = batch[batch["kind"] == 0][["subj", "obj", "pin"]]
-                subj_lab = labs[
-                    np.searchsorted(names, t["subj"].to_numpy())]
-                t = t.copy()
-                t["pin"] = _hash_distinct(
-                    t["pin"].to_numpy(dtype=object) + "-" + subj_lab,
+                t = batch.filter(pc.is_valid(batch["subj"]))
+                subj_lab = labs[np.searchsorted(
+                    names, t["subj"].to_numpy(zero_copy_only=False))]
+                pin = _hash_distinct(
+                    t["pin"].to_numpy(zero_copy_only=False) + "-" + subj_lab,
                     md5_bytes)
-                return _tagged(t)
+                t = t.set_column(t.schema.get_field_index("pin"), "pin",
+                                 pa.array(pin, pa.string()))
+                return tagged(t, keep, {"suffix": "pin"})
 
-            T = T.map_batches(update_and_group, batch_size=None,
-                              batch_format="pandas").materialize()
-
-        # 3. new entity labels (vocabulary-scale, driver-side)
-        ent_lab = _hash_distinct(ent_lab + "-" + suffix, md5_bytes)
+            vocab, T = collect(T.map_batches(
+                next_round, batch_size=None, batch_format="pyarrow"),
+                it + 1 < wl_iterations)
+            suf_obj = np.asarray(vocab["obj"].to_numpy(zero_copy_only=False))
+            if len(np.unique(suf_obj)) != len(suf_obj):
+                # Ray split a bucket's output block: raise num_buckets
+                raise RuntimeError(
+                    f"WL round {it}: one object's triples span two blocks")
+            suffix = np.full(len(ent_names), "", dtype=object)
+            suffix[np.searchsorted(ent_names, suf_obj)] = np.asarray(
+                vocab["suffix"].to_numpy(zero_copy_only=False), dtype=object)
+            suffixes.append(suffix)
+        ent_lab = _hash_distinct(ent_lab + "-" + suffixes[it], md5_bytes)
         history.append(ent_lab.copy())
 
     return {

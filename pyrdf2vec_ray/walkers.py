@@ -418,7 +418,7 @@ def extract_walks(
         sampler_ref = None if custom_fn is not None else _fit_cached(
             gi, ("sampler", spec.sampler),
             lambda: ray.put(
-                NameFittedSampler.fit(spec.sampler, gi.triples_dataset())
+                NameFittedSampler.fit(spec.sampler, gi.triples_dataset)
             ),
         )
         # graph-global fits from the parquet-backed triples Dataset —

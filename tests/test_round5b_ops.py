@@ -464,6 +464,19 @@ def test_calibration_bins_rejects_negative_scores():
             ray.data.from_items([{"s": -1, "y": 0}]), "s", "y")
 
 
+def test_calibration_bins_rejects_score_max_below_observed():
+    from pyrdf2vec_ray.ops.agg import calibration_bins
+
+    rows = [{"s": i, "y": i % 2} for i in range(10)]
+    with pytest.raises(ValueError, match="score_max"):
+        calibration_bins(ray.data.from_items(rows), "s", "y", n_bins=2,
+                         score_max=4)
+    # score_max at the observed max is the default's binning
+    out = calibration_bins(ray.data.from_items(rows), "s", "y", n_bins=2,
+                           score_max=9).to_pandas()
+    assert sorted(out["bin"]) == [0, 1]
+
+
 # ---- p* zero-or-more paths -------------------------------------------------
 
 def test_star_path_includes_zero_length():

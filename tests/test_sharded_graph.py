@@ -235,7 +235,7 @@ def test_name_sampler_weights_match_broadcast(pair):
     for kind in ("objfreq", "predfreq", "objpredfreq", "wide", "pagerank"):
         spec = SamplerSpec(kind=kind)
         f_b = FittedSampler.fit(spec, g)
-        f_n = NameFittedSampler.fit(spec, sh.triples_dataset())
+        f_n = NameFittedSampler.fit(spec, sh.triples_dataset)
         kb, pb = f_b.hop_probabilities(list(preds), list(objs))
         kn, pn = f_n.hop_probabilities(pred_names, obj_names)
         assert kb.tolist() == kn.tolist()
@@ -253,8 +253,30 @@ def test_name_sampler_fits_in_degree_only_when_read(pair):
                                 ("pagerank", False, False),
                                 ("objfreq", False, True)):
         fs = NameFittedSampler.fit(SamplerSpec(kind=kind, split=split),
-                                   sh.triples_dataset())
+                                   lambda: sh.triples_dataset())
         assert (fs.in_deg is not None) == fitted, (kind, split)
+
+
+def test_uniform_sampler_walks_read_no_triples(tmp_path, monkeypatch,
+                                               ray_jobs):
+    """A uniform sampler without split counts nothing: walking never
+    builds the triples Dataset (a parquet read starts Ray tasks as soon
+    as it is built), and the fit runs no Ray Data job."""
+    from pyrdf2vec_ray.samplers import NameFittedSampler
+
+    ds = ray.data.from_arrow(synth.triples_table(synth.LONG_CHAIN))
+    sh = ShardedGraphIndex.build(ds, num_shards=2, scratch_dir=str(tmp_path))
+
+    def boom(self=None):
+        raise AssertionError("triples Dataset built for a uniform sampler")
+
+    monkeypatch.setattr(ShardedGraphIndex, "triples_dataset", boom)
+    spec = WalkerSpec(strategy="random", max_depth=2, max_walks=None,
+                      sampler=SamplerSpec(kind="uniform"))
+    assert _walk_sets(sh, [IRI + "Alice"], spec)[IRI + "Alice"]
+    with ray_jobs() as jobs:
+        NameFittedSampler.fit(SamplerSpec(kind="uniform"), boom)
+    assert jobs.count == 0
 
 
 def test_literals_identical_across_backends(pair):
