@@ -51,7 +51,7 @@ def _customer_entities(sf_dir: str) -> list[str]:
     return _ENTITY_CACHE[sf_dir]
 
 
-_GI_CACHE: dict[tuple, Any] = {}
+_GI_CACHE: dict[str, Any] = {}
 _TRIPLES_CACHE: dict[str, Any] = {}
 
 
@@ -69,28 +69,20 @@ def _triples(sf_dir: str):
     return _TRIPLES_CACHE[sf_dir]
 
 
-def _graph_index(sf_dir: str, sharded: bool = False):
-    """Graph over the relational KG: broadcast CSR by default; the
-    hash-sharded parquet-backed index (no driver-side triples
-    materialization, state/sharded_graph.py) when ``sharded=True`` —
-    walk output is identical across the two backends (pinned by
-    tests/test_sharded_graph.py)."""
-    key = (sf_dir, sharded)
-    if key not in _GI_CACHE:
-        if sharded:
-            import tempfile
+def _graph_index(sf_dir: str):
+    """The hash-sharded, parquet-backed graph index over the relational
+    KG (state/sharded_graph.py; no driver-side triples
+    materialization), built once per sf dir."""
+    if sf_dir not in _GI_CACHE:
+        import tempfile
 
-            from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
+        from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
 
-            _GI_CACHE[key] = ShardedGraphIndex.build(
-                _triples(sf_dir), num_shards=8,
-                scratch_dir=tempfile.mkdtemp(prefix="graft_shards_"),
-            )
-        else:
-            from pyrdf2vec_ray.state.graph_index import GraphIndex
-
-            _GI_CACHE[key] = GraphIndex.from_dataset(_triples(sf_dir))
-    return _GI_CACHE[key]
+        _GI_CACHE[sf_dir] = ShardedGraphIndex.build(
+            _triples(sf_dir), num_shards=8,
+            scratch_dir=tempfile.mkdtemp(prefix="graft_shards_"),
+        )
+    return _GI_CACHE[sf_dir]
 
 
 def _docs(sf_dir: str, columns: tuple = ("doc_id", "text")):
@@ -148,9 +140,10 @@ def q_vertex_stats(sf_dir: str):
     """The fitted-sampler state as one queryable table (SURVEY §2.4);
     the SQL-expressible columns only (pagerank/community are iterative —
     pinned by pytest instead)."""
+    from pyrdf2vec_ray.state.graph_index import GraphIndex
     from pyrdf2vec_ray.stats import vertex_stats
 
-    ds = vertex_stats(_graph_index(sf_dir))
+    ds = vertex_stats(GraphIndex.from_dataset(_triples(sf_dir)))
     return ds.select_columns(["name", "in_deg", "out_deg", "pred_count"])
 
 
@@ -162,7 +155,7 @@ def q_bfs_walks_customers(sf_dir: str):
     with no driver-side graph materialization."""
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=None, md5_bytes=None)
     walks = extract_walks(gi, entities, spec, batch_size=256)
@@ -199,7 +192,7 @@ def q_bfs_walks_checkpointed(sf_dir: str):
     from pyrdf2vec_ray.checkpoint import read_run, run_partitioned
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)
     n_parts = 4
     step = (len(entities) + n_parts - 1) // n_parts
@@ -242,7 +235,7 @@ def q_bfs_walks_checkpointed(sf_dir: str):
 def q_walklets_customers(sf_dir: str):
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)
     spec = WalkerSpec(strategy="walklet", max_depth=1, max_walks=None)
     walks = extract_walks(gi, entities, spec, batch_size=256)
@@ -267,7 +260,7 @@ def q_literals_region_chain(sf_dir: str):
     the SHARDED index (name-routed chain hops)."""
     from pyrdf2vec_ray.literals import literals_dataset
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)
     ds = literals_dataset(gi, entities, [["in_nation", "in_region"]])
 
@@ -292,7 +285,7 @@ def q_walks_reverse(sf_dir: str):
     (entity, walk-as-string) so mixed walk lengths share one column."""
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)
     spec = WalkerSpec(strategy="random", max_depth=1, max_walks=None,
                       with_reverse=True, md5_bytes=None)
@@ -318,7 +311,7 @@ def q_walks_ngram(sf_dir: str):
     (md5(key), key) via shuffle.dense_ids — no driver-resident map)."""
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)
     spec = WalkerSpec(strategy="ngram", max_depth=2, max_walks=None, grams=3)
     walks = extract_walks(gi, entities, spec, batch_size=256)
@@ -359,7 +352,7 @@ def q_walks_wide_exhausted(sf_dir: str):
     from pyrdf2vec_ray.samplers import SamplerSpec
     from pyrdf2vec_ray.walkers import WalkerSpec
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="random", max_depth=1, max_walks=2,
                       md5_bytes=None, random_state=5,
@@ -424,7 +417,7 @@ def q_fasttext_embeddings(sf_dir: str):
     from pyrdf2vec_ray.pipelines.rdf2vec import RDF2VecTransformer
     from pyrdf2vec_ray.walkers import WalkerSpec
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     t = RDF2VecTransformer(
         embedder=FastText(vector_size=24, epochs=2, seed=9, bucket=100_000),
@@ -474,7 +467,7 @@ def _edge_ids(sf_dir: str):
     from pyrdf2vec_ray.shuffle import distinct
     from pyrdf2vec_ray.util import to_table
 
-    triples = _graph_index(sf_dir, sharded=True).triples_dataset()
+    triples = _graph_index(sf_dir).triples_dataset()
     pairs = to_table(distinct(triples, ["subj", "obj"]))
     src = np.asarray(pairs["subj"].to_numpy(zero_copy_only=False))
     dst = np.asarray(pairs["obj"].to_numpy(zero_copy_only=False))
@@ -522,7 +515,7 @@ def q_w2v_vocab(sf_dir: str):
     from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:200]
     spec = WalkerSpec(strategy="random", max_depth=1, max_walks=None,
                       md5_bytes=None)
@@ -3127,7 +3120,7 @@ def q_walks_sparql_roots(sf_dir: str):
     """).to_pandas()
     entities = sols["c"].tolist()
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=None,
                       md5_bytes=None)
     walks = extract_walks(gi, entities, spec, batch_size=256)
@@ -4491,7 +4484,7 @@ def q_walks_wl_sample(sf_dir: str):
     pytest parity tests)."""
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="wl", max_depth=2, max_walks=None,
                       wl_iterations=1, md5_bytes=None)
@@ -4513,7 +4506,7 @@ def q_walks_wl_sample(sf_dir: str):
 def _walker_query(sf_dir: str, spec, n: int = 100):
     from pyrdf2vec_ray.walkers import explode_walks, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:n]
     return explode_walks(extract_walks(gi, entities, spec, batch_size=64))
 
@@ -4535,7 +4528,7 @@ def q_walks_anonymous(sf_dir: str):
     Walk emitted as a space-joined string for the oracle compare."""
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="anonymous", max_depth=2)
     walks = extract_walks(gi, entities, spec, batch_size=64)
@@ -4561,7 +4554,7 @@ def q_walks_split(sf_dir: str):
     reproducible as SQL string construction."""
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="split", max_depth=2)
     walks = extract_walks(gi, entities, spec, batch_size=64)
@@ -4588,7 +4581,7 @@ def q_walks_halk(sf_dir: str):
     stay raw IRIs)."""
     from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="halk", max_depth=2, md5_bytes=None,
                       freq_thresholds=(0.01, 1.5))
@@ -4624,7 +4617,7 @@ def q_rdf2vec_embeddings(sf_dir: str):
     from pyrdf2vec_ray.pipelines.rdf2vec import RDF2VecTransformer
     from pyrdf2vec_ray.walkers import WalkerSpec
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     t = RDF2VecTransformer(
         embedder=Word2Vec(vector_size=32, epochs=2, seed=7),
@@ -4652,7 +4645,7 @@ def q_rdf2vec_scale_path(sf_dir: str):
     from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
     from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:200]
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=6,
                       random_state=13)
@@ -4682,7 +4675,7 @@ def q_fasttext_dist(sf_dir: str):
     from pyrdf2vec_ray.embedders_dist import DistributedFastText
     from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=6,
                       random_state=23)
@@ -4728,7 +4721,7 @@ def q_walks_all_vertices(sf_dir: str):
     from pyrdf2vec_ray.shuffle import distinct
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     t = _triples(sf_dir)
 
     def as_entity(col):
@@ -4768,7 +4761,7 @@ def q_walks_dfs_exhausted(sf_dir: str):
     root.  Deterministic regardless of sampler RNG, so SQL-checkable."""
     from pyrdf2vec_ray.walkers import WalkerSpec
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="random", max_depth=1, max_walks=2,
                       md5_bytes=None, random_state=5)
@@ -4782,7 +4775,7 @@ def q_walks_community_noteleport(sf_dir: str):
     the stochastic teleporting variant stays rows-only."""
     from pyrdf2vec_ray.walkers import WalkerSpec
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:100]
     spec = WalkerSpec(strategy="community", max_depth=2, max_walks=None,
                       md5_bytes=None, hop_prob=0.0, random_state=5)
@@ -4804,7 +4797,7 @@ def q_walks_node2vec(sf_dir: str):
 
     name = register_node2vec("node2vec_kg", p=2.0, q=0.5, n_walks=6,
                              depth=3, seed=11)
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     # order roots: out-degree ~5 (customer + line parts), so the biased
     # second-order choice actually branches (customers have out-deg 1)
     keys = ray.data.read_parquet(
@@ -4830,7 +4823,7 @@ def q_walks_metapath(sf_dir: str):
 
     name = register_metapath(
         "metapath_kg", ["contains", "supplied_by", "in_nation"])
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     keys = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey"]
     ).filter(expr="o_orderkey < 200").take_all()
@@ -4905,7 +4898,7 @@ def q_walks_dfs_sampled(sf_dir: str):
     from pyrdf2vec_ray.samplers import SamplerSpec
     from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
 
-    gi = _graph_index(sf_dir, sharded=True)
+    gi = _graph_index(sf_dir)
     entities = _customer_entities(sf_dir)[:200]
     spec = WalkerSpec(
         strategy="random", max_depth=3, max_walks=8, random_state=42,

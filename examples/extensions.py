@@ -21,14 +21,17 @@ import ray.data                                                   # noqa: E402
 from pyrdf2vec_ray import synth                                   # noqa: E402
 from pyrdf2vec_ray.shuffle import distinct                        # noqa: E402
 from pyrdf2vec_ray.sources.rdf import parse_rdf_text              # noqa: E402
-from pyrdf2vec_ray.state.graph_index import GraphIndex            # noqa: E402
+from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex   # noqa: E402
 from pyrdf2vec_ray.walkers import (                               # noqa: E402
     WalkerSpec,
     extract_walks,
     register_walker,
 )
 
-gi = GraphIndex.from_table(synth.triples_table(synth.LONG_CHAIN + synth.LOOP))
+gi = ShardedGraphIndex.build(
+    ray.data.from_arrow(synth.triples_table(synth.LONG_CHAIN + synth.LOOP)),
+    num_shards=2,
+)
 
 
 # -- 1. plugin walker ---------------------------------------------------------
@@ -61,7 +64,7 @@ roots = distinct(
     ["entity"],
 )
 walks = extract_walks(
-    GraphIndex.from_table(synth.triples_table(synth.LONG_CHAIN)),
+    ShardedGraphIndex.build(triples, num_shards=2),
     roots,                              # a Dataset, not a list
     WalkerSpec(strategy="random", max_depth=1, md5_bytes=8),
 )

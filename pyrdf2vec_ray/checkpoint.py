@@ -141,11 +141,12 @@ def extract_walks_checkpointed(
 ) -> list[PartitionResult]:
     """Checkpointed walk extraction: entity-range partitions, each written
     to its own parquet dir + manifest entry, so a killed extraction resumes
-    at the first incomplete range.  The fingerprint covers the ACTUAL
-    inputs — a content hash of the entity slice, the graph's structural
-    fingerprint, and the walker spec — so resuming into the same root
-    after the entity list or KG changed rebuilds instead of silently
-    reusing stale partitions.  Read back with `read_run(root)`."""
+    at the first incomplete range.  ``gi`` is a ``ShardedGraphIndex``.
+    The fingerprint covers the ACTUAL inputs — a content hash of the
+    entity slice, the graph's content fingerprint
+    (``ShardedGraphIndex.fingerprint``), and the walker spec — so
+    resuming into the same root after the entity list or KG changed
+    rebuilds instead of silently reusing stale partitions.  Read back with `read_run(root)`."""
     import hashlib
 
     from pyrdf2vec_ray.walkers import explode_walks, extract_walks
@@ -163,9 +164,7 @@ def extract_walks_checkpointed(
     def build(partition: str):
         i = int(partition.split("-")[1])
         lo, hi = i * step, min((i + 1) * step, len(entities))
-        return explode_walks(
-            extract_walks(gi, entities[lo:hi], spec, skip_verify=True)
-        )
+        return explode_walks(extract_walks(gi, entities[lo:hi], spec))
 
     return run_partitioned(root, parts, build)
 

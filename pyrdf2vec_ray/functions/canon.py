@@ -103,23 +103,6 @@ def split_walk(walk: list[str], with_reverse: bool) -> tuple:
     return tuple(dict(zip(canonical, canonical)))
 
 
-def take_n_grams(walk: list[str], grams: int, n_gram_map: dict) -> tuple:
-    """NGramWalker._take_n_grams (ngram.py:62-84).  Ids come from the
-    provided map; unseen n-grams get len(map) — callers either pre-seed the
-    map from the global two-phase pass (deterministic ids) or let it grow
-    locally (reference's order-dependent behavior)."""
-    out = []
-    for i, name in enumerate(walk):
-        if i == 0 or i % 2 == 1 or i < grams:
-            out.append(name)
-        else:
-            n_gram = tuple(walk[max(0, i - (grams - 1)) : i + 1])
-            if n_gram not in n_gram_map:
-                n_gram_map[n_gram] = str(len(n_gram_map))
-            out.append(n_gram_map[n_gram])
-    return tuple(out)
-
-
 def ngram_keys(walk: list[str], grams: int) -> list[tuple]:
     """The distinct n-gram keys a walk will request (for the global
     deterministic id-assignment pass)."""

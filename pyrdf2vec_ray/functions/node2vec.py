@@ -42,15 +42,14 @@ def make_node2vec_walker(
     ``(entity, pred, obj, pred, obj, ...)`` node2vec walks.  State per
     step: ONE hop lookup for the current node plus one (cached) lookup
     for the previous node's neighborhood — the same per-entity access
-    pattern as the built-in DFS, so the sharded backend serves it
+    pattern as the built-in DFS, so the sharded graph serves it
     shard-locally."""
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
 
     def node2vec_walker(graph, entity, spec):
         # per-entity caches: forward hop lists (each node's hops fetch
-        # ONCE across all n_walks — on the sharded backend a get_hops
-        # is a shard lookup) and the undirected neighborhoods
+        # ONCE across all n_walks — each get_hops is a shard lookup) and the undirected neighborhoods
         hop_cache: dict[str, tuple] = {}
         nbr_cache: dict[str, frozenset] = {}
 

@@ -5,10 +5,11 @@ chain, frontier = all objects reachable via exactly that predicate;
 the final frontier's strings are cast ([] → NaN, float-or-str, >1 →
 tuple — kg.py:399-426).
 
-Ray shape: entities stream through an actor pool holding the broadcast
-CSR graph; each chain hop is a vectorized children scan (the dataset-
-join formulation is k filtered hash-joins, SURVEY.md G5 — equivalent,
-used by the oracle SQL).
+Ray shape: entities stream through an actor pool over the sharded graph
+index; each chain hop routes every frontier name to the forward shard
+that owns it, so a worker maps only the shards its chains touch (the
+dataset-join formulation is k filtered hash-joins, SURVEY.md G5 —
+equivalent, used by the oracle SQL).
 """
 
 from __future__ import annotations
@@ -20,30 +21,16 @@ import ray
 import ray.data
 
 from pyrdf2vec_ray.schemas import LITERALS
-from pyrdf2vec_ray.state.graph_index import GraphIndex, LocalGraph
+from pyrdf2vec_ray.state.sharded_graph import (
+    ShardedGraphIndex,
+    ShardedLocalGraph,
+    require_sharded,
+)
 
 
-def pliterals(g: LocalGraph, entity: str, chain: list[str]) -> list[str]:
-    """kg.get_pliterals (kg.py:330-350) over the CSR index."""
-    pred_ids = [g.name_to_id(p) for p in chain]
-    frontier = {g.name_to_id(entity)}
-    frontier.discard(-1)
-    for pid in pred_ids:
-        new: set[int] = set()
-        if pid >= 0:
-            for node in frontier:
-                preds, objs = g.get_hops(node)
-                new.update(int(o) for p, o in zip(preds, objs) if p == pid)
-        frontier = new
-    names = g.a.names
-    return [str(names[v]) for v in sorted(frontier)]
-
-
-def pliterals_names(g, entity: str, chain: list[str]) -> list[str]:
-    """get_pliterals over the name-keyed sharded backend
-    (state/sharded_graph.ShardedLocalGraph): each chain hop routes every
-    frontier name to its owning forward shard — no global id space, no
-    driver-side graph."""
+def pliterals(g: ShardedLocalGraph, entity: str, chain: list[str]) -> list[str]:
+    """kg.get_pliterals (kg.py:330-350) over the name-keyed shard view:
+    no global id space, no driver-side graph."""
     frontier = {entity}
     for pred in chain:
         new: set[str] = set()
@@ -76,63 +63,48 @@ def cast_literals(entity_literals: list[list[str]]):
     return out
 
 
-def get_literals(gi, entities: list[str], chains: list[list[str]]):
+def get_literals(gi: ShardedGraphIndex, entities: list[str],
+                 chains: list[list[str]]):
     """Driver-convenience form returning the reference's ragged matrix
-    (one row per entity, one cell per chain).  Accepts either graph
-    backend."""
-    from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
-
+    (one row per entity, one cell per chain)."""
+    require_sharded(gi, "get_literals")
     if len(chains) == 0:
         return []
     g = gi.local()
-    plit = pliterals_names if isinstance(gi, ShardedGraphIndex) else pliterals
     return [
-        cast_literals([plit(g, e, chain) for chain in chains])
+        cast_literals([pliterals(g, e, chain) for chain in chains])
         for e in entities
     ]
 
 
 class LiteralExtractor:
-    def __init__(self, chains: list[list[str]], graph_ref=None, shard_refs=None):
-        if shard_refs is not None:
-            from pyrdf2vec_ray.state.sharded_graph import ShardedLocalGraph
-
-            fwd_refs, rev_refs = shard_refs
-            # lazy: chain traversal touches only the shards its names
-            # route to (shard-owner routing, VERDICT r4 item 2)
-            self.g = ShardedLocalGraph.from_refs(fwd_refs, rev_refs)
-            self._plit = pliterals_names
-        else:
-            self.g = LocalGraph(ray.get(graph_ref))
-            self._plit = pliterals
+    def __init__(self, chains: list[list[str]], shard_refs):
+        # lazy: chain traversal touches only the shards its names
+        # route to (shard-owner routing, VERDICT r4 item 2)
+        self.g = ShardedLocalGraph.from_refs(*shard_refs)
         self.chains = chains
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ents, vals = [], []
         for e in batch["entity"].to_pylist():
             ents.append(e)
-            vals.append([self._plit(self.g, e, chain) for chain in self.chains])
+            vals.append([pliterals(self.g, e, chain) for chain in self.chains])
         return pa.Table.from_pydict(
             {"entity": ents, "values": vals}, schema=LITERALS
         )
 
 
 def literals_dataset(
-    gi, entities: list[str], chains: list[list[str]],
+    gi: ShardedGraphIndex, entities: list[str], chains: list[list[str]],
     concurrency=(1, 4), batch_size: int = 256,
 ) -> ray.data.Dataset:
-    """``gi``: broadcast GraphIndex OR ShardedGraphIndex — identical
-    output either way (chain traversal order is name-sorted in both)."""
-    from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
-
-    if isinstance(gi, ShardedGraphIndex):
-        kwargs = {"chains": chains, "shard_refs": (gi.fwd_refs, gi.rev_refs)}
-    else:
-        kwargs = {"chains": chains, "graph_ref": gi.broadcast()}
+    require_sharded(gi, "literals_dataset")
     ds = ray.data.from_arrow(pa.table({"entity": pa.array(entities, pa.string())}))
     return ds.map_batches(
         LiteralExtractor,
-        fn_constructor_kwargs=kwargs,
+        fn_constructor_kwargs={
+            "chains": chains, "shard_refs": (gi.fwd_refs, gi.rev_refs),
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

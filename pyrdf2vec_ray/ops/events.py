@@ -1402,8 +1402,10 @@ def ordered_pair_counts(
     some b-event — the any-gap generalization of
     :func:`event_transitions` (adjacent pairs) and the pairwise core
     of sequential-pattern mining (a 2-subsequence support count).
-    Output ``(prev, next, n_users)``; self-pairs (a, a) count users
-    with ≥2 occurrences of a (the repeat signal).
+    Output ``(prev, next, n_users)``.  Self-pairs (a, a) count users
+    whose a-events span at least two DISTINCT timestamps (the repeat
+    signal): repeated a-events that all share one timestamp do not
+    count, because no a-event is strictly before another.
 
     The existence test collapses to per-(user, type) MIN and MAX
     timestamps: user supports (a, b) iff ``min_ts(a) < max_ts(b)`` —

@@ -1,8 +1,8 @@
 """General distributed equi-join — the relational primitive Ray Data's
 Dataset API lacks (2.49 has no ``Dataset.join``), promoted to a
 first-class operator from the co-partitioning pattern used by the
-near-dup verifier (ops/dedup.verify_jaccard), the as-of/interval joins
-(ops/events) and the join-based BFS (pipelines/bfs_join).
+near-dup verifier (ops/dedup.verify_jaccard) and the as-of/interval
+joins (ops/events).
 
 Shape: tag each side, union (with TYPED zero fillers so both sides
 carry identical column dtypes through the union — mixed-dtype pandas

@@ -547,17 +547,6 @@ class AnyAudioDecoder(WavDecoder):
         return pa.Table.from_pydict(out, schema=WAV_FEATURES)
 
 
-def any_audio_features(
-    payloads: ray.data.Dataset, concurrency=(1, 4), batch_size: int = 256,
-) -> ray.data.Dataset:
-    """(doc_id, payload: binary audio) → decoded audio features,
-    soundfile when available, stdlib wave otherwise."""
-    return payloads.map_batches(
-        AnyAudioDecoder, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
 IMAGE_AHASH = pa.schema(
     [("doc_id", pa.int64()), ("hash_hi", pa.int64()),
      ("hash_lo", pa.int64())])

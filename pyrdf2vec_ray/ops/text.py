@@ -507,35 +507,6 @@ def fit_bigram_datasets(
     return pairs, ctx, int(vocab)
 
 
-def fit_bigram_counts(
-    lm_docs: ray.data.Dataset,
-    text_col: str = "text",
-):
-    """Driver-side convenience over ``fit_bigram_datasets``: collects the
-    fitted model into ``(pair_keys, pair_counts, ctx_keys, ctx_counts,
-    vocab_size)`` numpy arrays for small / interactive models.  The
-    scoring pipeline (``bigram_lm_scores``) does NOT use this — it joins
-    against the count Datasets distributed, because corpus-scale bigram
-    tables don't fit a driver.
-
-    Keys are joined with \\x01, NOT \\x00: pandas str-concat silently
-    DROPS embedded NULs and numpy strips trailing ones, so a NUL
-    separator vanishes and ("ab","c") / ("a","bc") merge their counts."""
-    pairs_ds, _, vocab = fit_bigram_datasets(lm_docs, text_col)
-    pairs = pairs_ds.to_pandas()
-
-    pair_key = (pairs["w1"].astype(str) + "\x01"
-                + pairs["w2"].astype(str)).to_numpy()
-    order = np.argsort(pair_key)
-    pair_keys = pair_key[order].astype(np.str_)          # U-dtype: zero-copy
-    pair_counts = pairs["c"].to_numpy(dtype=np.int64)[order]
-
-    ctx = pairs.groupby("w1", as_index=False)["c"].sum().sort_values("w1")
-    ctx_keys = ctx["w1"].to_numpy().astype(np.str_)
-    ctx_counts = ctx["c"].to_numpy(dtype=np.int64)
-    return pair_keys, pair_counts, ctx_keys, ctx_counts, int(vocab)
-
-
 def _arrow_reemit(columns: dict[str, pa.DataType]):
     """Stage that re-emits pandas blocks as Arrow with a FIXED schema so
     downstream ``union`` sides always match (mixed pandas/arrow blocks or

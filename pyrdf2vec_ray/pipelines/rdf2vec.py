@@ -1,11 +1,11 @@
 """RDF2VecTransformer-equivalent orchestration (reference rdf2vec.py).
 
-fit → walk extraction per walker (Dataset pipelines, corpora unioned in
-walker order like rdf2vec.py:178-181) → embedder fit; transform →
-vectors in entity order + literal matrix; online ``_update`` semantics
-(rdf2vec.py:248-272): re-fitting with already-seen entities replaces
-their stored walks; save/load pickles the whole transformer
-(rdf2vec.py:238-246).
+fit → walk extraction per walker over a ``ShardedGraphIndex`` (Dataset
+pipelines, corpora unioned in walker order like rdf2vec.py:178-181) →
+embedder fit; transform → vectors in entity order + literal matrix;
+online ``_update`` semantics (rdf2vec.py:248-272): re-fitting with
+already-seen entities replaces their stored walks; save/load pickles
+the whole transformer (rdf2vec.py:238-246).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 
 from pyrdf2vec_ray.embedders import Word2Vec
 from pyrdf2vec_ray.literals import get_literals
-from pyrdf2vec_ray.state.graph_index import GraphIndex
+from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -27,13 +27,11 @@ class RDF2VecTransformer:
         walkers: list[WalkerSpec] | None = None,
         literals: list[list[str]] | None = None,
         verbose: int = 0,
-        skip_verify: bool = False,
     ):
         self.embedder = embedder if embedder is not None else Word2Vec()
         self.walkers = walkers if walkers is not None else [WalkerSpec()]
         self.literals = literals or []
         self.verbose = verbose
-        self.skip_verify = skip_verify
         # accumulated state (rdf2vec.py:80-86)
         self._entities: list[str] = []
         self._walks: list[list[list[str]]] = []   # per (walker, entity) rows
@@ -41,12 +39,20 @@ class RDF2VecTransformer:
 
     # -- walks ---------------------------------------------------------------
 
-    def get_walks(self, gi: GraphIndex, entities: list[str]) -> list[list[list[str]]]:
-        """One corpus row per (walker, entity): List[List[SWalk]]."""
+    def get_walks(self, gi: ShardedGraphIndex, entities: list[str]) -> list[list[list[str]]]:
+        """One corpus row per (walker, entity): List[List[SWalk]].  Raises
+        ValueError on the driver for entities not in the graph, like the
+        reference (rdf2vec.py:166-172), before any walk task runs."""
+        g = gi.local()
+        missing = [e for e in entities if not g.contains_one(e)]
+        if missing:
+            raise ValueError(
+                f"The provided entities must be in the Knowledge Graph: {missing}"
+            )
         tic = time.perf_counter()
         rows: list[list[list[str]]] = []
         for spec in self.walkers:
-            ds = extract_walks(gi, entities, spec, skip_verify=self.skip_verify)
+            ds = extract_walks(gi, entities, spec)
             t = to_table(ds)
             by_entity: dict[str, list] = {}
             for e, walks in zip(t["entity"].to_pylist(), t["walks"].to_pylist()):
@@ -58,7 +64,7 @@ class RDF2VecTransformer:
                   f"({time.perf_counter() - tic:.4f}s)")
         return rows
 
-    def fit(self, gi: GraphIndex, entities: list[str], is_update: bool = False):
+    def fit(self, gi: ShardedGraphIndex, entities: list[str], is_update: bool = False):
         walks = self.get_walks(gi, entities)
         self._update(entities, walks)
         tic = time.perf_counter()
@@ -86,14 +92,14 @@ class RDF2VecTransformer:
 
     # -- transform -----------------------------------------------------------
 
-    def transform(self, gi: GraphIndex, entities: list[str]):
+    def transform(self, gi: ShardedGraphIndex, entities: list[str]):
         embeddings = self.embedder.transform(entities)
         literals = get_literals(gi, entities, self.literals)
         if self.verbose and self.literals:
             print(f"Extracted {len(literals)} literals for {len(entities)} entities")
         return embeddings, literals
 
-    def fit_transform(self, gi: GraphIndex, entities: list[str], is_update: bool = False):
+    def fit_transform(self, gi: ShardedGraphIndex, entities: list[str], is_update: bool = False):
         self.fit(gi, entities, is_update)
         return self.transform(gi, entities)
 

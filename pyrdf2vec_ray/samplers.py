@@ -1,18 +1,18 @@
 """Sampling strategies (reference: pyrdf2vec/samplers/*, SURVEY.md §2.4).
 
 A sampler is (1) a global fit over the whole graph and (2) a per-hop
-weight function used inside DFS walk actors.  The fit statistics are
-plain grouped counts over the triples table; here they are computed
-vectorized from the broadcast CSR arrays (one pass, no shuffle — the
-triples were already shuffled once to dedup), and the equivalent
-Dataset/groupby formulations live in `pyrdf2vec_ray.stats` for the
-oracle-checked `vertex_stats` pipeline.  Weight semantics are faithful
-to the reference per-sampler docstrings below.
+weight function used inside DFS walk tasks.  The fit statistics are
+plain grouped counts over the triples Dataset (``NameFittedSampler.fit``
+runs them as bucket-shuffle counts, keyed by vertex and predicate NAME),
+collected as vocabulary-scale sorted arrays and broadcast to the walk
+tasks.  The Dataset/groupby formulations of the same counts are the
+oracle-checked ``sampler_*`` registry queries.  Weight semantics are
+faithful to the reference per-sampler docstrings below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,10 @@ def _pagerank_from_pairs(
     personalization: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shared power-iteration core over UNIQUE SORTED (src, dst) id pairs.
-    Both graph backends (broadcast CSR and sharded-parquet) reduce their
-    edges to the same sorted pair list over the same global vocabulary, so
-    the scores are bit-identical regardless of backend — which keeps
-    pagerank-sampled DFS walks reproducible across the two paths.
+    The sampler fit (names from the triples Dataset) and
+    ``pagerank_scores`` (ids of one CSR) reduce their edges to the same
+    sorted pair list over the same sorted vocabulary, so their scores
+    are bit-identical.
 
     ``personalization`` (optional, length = #entity nodes, must sum to
     1): the restart/teleport vector of PERSONALIZED PageRank (nx
@@ -95,10 +95,9 @@ def pagerank_scores(g: LocalGraph, alpha: float = 0.85, tol: float = 1e-6,
     edges-join-scores + groupby(dst).sum() (SURVEY.md A5) — implemented
     as ops/graph.pagerank_rounds (round 5), which never pulls the edge
     list to the driver and matches this form at 1e-12 (pytest-pinned);
-    the vectorized single-pass form here serves graphs whose DISTINCT
-    EDGE LIST fits the object store and stays the sampler default
-    because its scores are bit-identical across both graph backends
-    (walk reproducibility pins on that)."""
+    the vectorized single-pass form here serves ``stats.vertex_stats``
+    on graphs whose DISTINCT EDGE LIST fits one process, and equals the
+    pagerank sampler's scores bit for bit."""
     a = g.a
     # unique entity→entity edges
     key = a.fwd_obj.astype(np.int64)
@@ -111,94 +110,13 @@ def pagerank_scores(g: LocalGraph, alpha: float = 0.85, tol: float = 1e-6,
     )
 
 
-@dataclass
-class FittedSampler:
-    """Fitted state + the get_weights pipeline (sampler.py:111-136):
-    raw weights → optional inverse (max - (w - min)) → optional split
-    (divide by the target vertex's in-degree, dropping zero-degree
-    targets) → normalize to sum 1."""
-
-    spec: SamplerSpec
-    node_w: np.ndarray | None = None          # per-vertex-id weight (objfreq/pagerank)
-    pred_w: np.ndarray | None = None          # per-vertex-id weight of predicate names
-    pair_keys: np.ndarray | None = None       # sorted pred*nv+obj keys (objpredfreq)
-    pair_counts: np.ndarray | None = None
-    in_deg: np.ndarray | None = None          # split divisor (sampler.py:86-91)
-    out_deg: np.ndarray | None = None         # wide
-    nv: int = 0
-    extras: dict = field(default_factory=dict)
-
-    @staticmethod
-    def fit(spec: SamplerSpec, g: LocalGraph) -> "FittedSampler":
-        a = g.a
-        nv = g.num_vertices
-        fs = FittedSampler(spec=spec, nv=nv)
-        fs.in_deg = g.in_deg().astype(np.float64)
-        fs.out_deg = g.out_deg().astype(np.float64)
-        if spec.kind == "objfreq":
-            # in-degree of the target entity (frequency.py:46-81)
-            fs.node_w = fs.in_deg
-        elif spec.kind == "predfreq":
-            # occurrences of the predicate name (frequency.py:116-152)
-            pw = np.zeros(nv)
-            np.add.at(pw, a.fwd_pred.astype(np.int64), 1.0)
-            fs.pred_w = pw
-        elif spec.kind == "objpredfreq":
-            # occurrences of each (pred, obj) pair (frequency.py:188-227)
-            key = a.fwd_pred.astype(np.int64) * nv + a.fwd_obj.astype(np.int64)
-            fs.pair_keys, fs.pair_counts = np.unique(key, return_counts=True)
-            fs.pair_counts = fs.pair_counts.astype(np.float64)
-        elif spec.kind == "pagerank":
-            fs.node_w = pagerank_scores(g, alpha=spec.alpha)
-        elif spec.kind == "wide":
-            # (nc[pred]+nc[obj]) * ((pred_deg[pred]+obj_deg[obj])/2), where —
-            # per the reference's per-vertex loop (wide.py:50-96) — nc of a
-            # predicate name resolves to 1 (each predicate instance has
-            # exactly one parent), nc of an entity is its out-degree, and
-            # obj_deg of an entity is 1 (vertices are unique by name).
-            pw = np.zeros(nv)
-            np.add.at(pw, a.fwd_pred.astype(np.int64), 1.0)
-            fs.pred_w = pw
-        return fs
-
-    def raw_weights(self, pred_ids: np.ndarray, other_ids: np.ndarray) -> np.ndarray:
-        k = self.spec.kind
-        if k == "uniform":
-            return np.ones(len(pred_ids))
-        if k in ("objfreq", "pagerank"):
-            return self.node_w[other_ids]
-        if k == "predfreq":
-            return self.pred_w[pred_ids]
-        if k == "objpredfreq":
-            key = pred_ids.astype(np.int64) * self.nv + other_ids.astype(np.int64)
-            idx = np.searchsorted(self.pair_keys, key)
-            idx = np.clip(idx, 0, len(self.pair_keys) - 1)
-            w = np.where(self.pair_keys[idx] == key, self.pair_counts[idx], 0.0)
-            return w
-        if k == "wide":
-            nc = 1.0 + self.out_deg[other_ids]
-            return nc * ((self.pred_w[pred_ids] + 1.0) / 2.0)
-        raise AssertionError(k)
-
-    def hop_probabilities(
-        self, pred_ids, other_ids
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (kept_candidate_positions, probabilities).  Positions
-        shrink only under split=True when a target has in-degree 0
-        (sampler.py:128-133 silently drops those hops).  Accepts any
-        sequence of vertex ids (WalkCore passes plain lists)."""
-        pred_ids = np.asarray(pred_ids, dtype=np.int64)
-        other_ids = np.asarray(other_ids, dtype=np.int64)
-        w = self.raw_weights(pred_ids, other_ids).astype(np.float64)
-        return _finalize_weights(self.spec, w, self.in_deg[other_ids])
-
-
 def _finalize_weights(
     spec: SamplerSpec, w: np.ndarray, in_deg: np.ndarray | None
 ):
-    """get_weights pipeline tail (sampler.py:111-136), shared by both
-    backends: inverse → split (drop zero-in-degree targets) → normalize.
-    ``in_deg`` is read only when ``spec.split`` is set."""
+    """get_weights pipeline tail (sampler.py:111-136): inverse → split
+    (divide by the target's in-degree, dropping zero-in-degree targets)
+    → normalize to sum 1.  ``in_deg`` is read only when ``spec.split``
+    is set."""
     keep = np.arange(len(w))
     if spec.inverse and len(w):
         w = w.max() - (w - w.min())
@@ -226,16 +144,12 @@ def _sorted_lookup(keys: np.ndarray, vals: np.ndarray, queries) -> np.ndarray:
 class NameFittedSampler:
     """Sampler state keyed by vertex NAME, fitted from the triples
     Dataset with grouped-count shuffles (SURVEY.md §2.4 "→ Ray Data") —
-    the backend for the sharded graph index, where no global id space
-    exists.  The collected statistics are vocabulary-scale (one row per
-    distinct vertex / predicate / pair), NOT corpus-scale: they are the
-    broadcast fitted state, exactly like the reference's driver-side
-    sampler.fit (samplers/sampler.py:69-109).
-
-    Weight values match FittedSampler bit-for-bit (integer counts; the
-    pagerank power iteration runs the identical _pagerank_from_pairs
-    math over the identically-ordered entity/pair arrays), so DFS walks
-    are reproducible across the broadcast and sharded backends."""
+    the sharded graph index has no global id space.  The collected
+    statistics are vocabulary-scale (one row per distinct vertex /
+    predicate / pair), NOT corpus-scale: they are the broadcast fitted
+    state, exactly like the reference's driver-side sampler.fit
+    (samplers/sampler.py:69-109).  ``hop_probabilities`` is the
+    reference's get_weights (sampler.py:111-136)."""
 
     spec: SamplerSpec
     node_keys: np.ndarray | None = None
@@ -283,12 +197,20 @@ class NameFittedSampler:
         if spec.split or spec.kind == "objfreq":
             fs.in_keys, fs.in_deg = counts(["obj"])
         if spec.kind == "objfreq":
+            # in-degree of the target entity (frequency.py:46-81)
             fs.node_keys, fs.node_w = fs.in_keys, fs.in_deg
         elif spec.kind == "predfreq":
+            # occurrences of the predicate name (frequency.py:116-152)
             fs.pred_keys, fs.pred_w = counts(["pred"])
         elif spec.kind == "objpredfreq":
+            # occurrences of each (pred, obj) pair (frequency.py:188-227)
             fs.pair_keys, fs.pair_w = counts(["pred", "obj"])
         elif spec.kind == "wide":
+            # (nc[pred]+nc[obj]) * ((pred_deg[pred]+obj_deg[obj])/2), where —
+            # per the reference's per-vertex loop (wide.py:50-96) — nc of a
+            # predicate name resolves to 1 (each predicate instance has
+            # exactly one parent), nc of an entity is its out-degree, and
+            # obj_deg of an entity is 1 (vertices are unique by name).
             fs.pred_keys, fs.pred_w = counts(["pred"])
             fs.out_keys, fs.out_deg = counts(["subj"])
         elif spec.kind == "pagerank":
@@ -318,6 +240,9 @@ class NameFittedSampler:
         return fs
 
     def hop_probabilities(self, preds, others):
+        """Returns (kept_candidate_positions, probabilities).  Positions
+        shrink only under split=True when a target has in-degree 0
+        (sampler.py:128-133 silently drops those hops)."""
         k = self.spec.kind
         preds = np.asarray(preds, dtype=np.str_)
         others = np.asarray(others, dtype=np.str_)

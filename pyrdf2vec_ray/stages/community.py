@@ -222,15 +222,15 @@ def detect_communities_from_dataset(
     triples_ds, resolution: float = 1.0, method: str = "louvain",
     max_sweeps: int = 20,
 ) -> CommunityState:
-    """Community state fitted from the triples Dataset (the sharded-
-    backend form): distinct entity→entity edges come from one bucket
+    """Community state fitted from the triples Dataset (the fit that
+    community walks use): distinct entity→entity edges come from one bucket
     shuffle; the collected pair list is edge-scale ids (16 bytes/edge —
     the same documented global-algorithm collect as the pagerank fit),
     and the resulting partition is the broadcast fitted state.
 
-    Identical partition, compact community ids, and member ORDER as the
-    broadcast ``detect_communities`` (entity order is name-sorted in
-    both), so community-teleport walks match across backends."""
+    Identical partition, compact community ids, and member ORDER as
+    ``detect_communities`` over one whole-graph CSR (entity order is
+    name-sorted in both)."""
     from pyrdf2vec_ray.shuffle import distinct
     from pyrdf2vec_ray.util import to_table
 

@@ -1,8 +1,9 @@
-"""Walk extraction cores + the actor-pool stage.
+"""Walk extraction core: one entity's walks over the sharded graph.
 
 Faithful re-expression of the reference's traversal semantics
 (walkers/random.py:50-118, samplers/sampler.py:138-180,
-walkers/community.py:140-250) over the CSR GraphIndex:
+walkers/community.py:140-250) over the name-keyed hop view of
+``state/sharded_graph.ShardedLocalGraph``:
 
 - BFS (max_walks=None): depth-synchronous frontier; every walk extends
   by ALL hops of its tail; a parent walk is dropped iff it had ≥1 hop
@@ -11,12 +12,13 @@ walkers/community.py:140-250) over the CSR GraphIndex:
   each step samples one weighted unvisited hop; the visited set holds
   ((pred, other), depth) pairs with dead-end back-propagation.
 - with_reverse: cartesian r_walk[:-1] + walk per entity
-  (random.py:134-139) — generated per entity inside the actor, never as
-  a dataset-level cross join.
+  (random.py:134-139) — generated per entity inside the walk task,
+  never as a dataset-level cross join.
 
-Parallelism: entities stream through ``map_batches(WalkExtractor,
-concurrency=N)``; each actor maps the object-store broadcast graph
-(zero-copy) — the reference instead forks the whole KG into every
+Parallelism: ``walkers.extract_walks`` streams root entities through
+``map_batches`` tasks, routed by the shard that owns each root; each
+task maps only the graph shards its hops touch, zero-copy from the
+object store — the reference instead forks the whole KG into every
 mp.Pool worker (walker.py:187-195).
 
 Determinism: the reference re-seeds ``np.random.RandomState
@@ -24,7 +26,8 @@ Determinism: the reference re-seeds ``np.random.RandomState
 is only reproducible per-process.  With ``seed_mode="per_call"`` we
 reproduce that exactly; the default ``"per_entity"`` derives a seed
 from (random_state, entity) so results are identical under ANY
-parallelism / batch split — strictly stronger (SURVEY.md §4).
+parallelism / batch split / shard count — strictly stronger
+(SURVEY.md §4).
 """
 
 from __future__ import annotations
@@ -34,16 +37,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pyrdf2vec_ray.samplers import FittedSampler
-from pyrdf2vec_ray.state.graph_index import LocalGraph
+from pyrdf2vec_ray.samplers import NameFittedSampler
+from pyrdf2vec_ray.state.sharded_graph import ShardedLocalGraph
 
 
 @dataclass
 class CommunityState:
     """Fitted community structure for CommunityWalker teleports
-    (community.py:99-138): vertex id → community id, plus member lists."""
+    (community.py:99-138): vertex → community id, plus member lists."""
 
-    community_of: np.ndarray                  # int32[nv], -1 = none
+    community_of: np.ndarray                  # vertex key → id, -1 = none
     members: list[np.ndarray] = field(default_factory=list)
 
 
@@ -53,12 +56,12 @@ def _entity_seed(random_state: int | None, entity: str) -> int:
 
 
 class WalkCore:
-    """Per-entity traversal over a LocalGraph with one sampler."""
+    """Per-entity traversal over a name-keyed graph with one sampler."""
 
     def __init__(
         self,
-        g: LocalGraph,
-        sampler: FittedSampler,
+        g: ShardedLocalGraph,
+        sampler: NameFittedSampler,
         max_depth: int,
         max_walks: int | None,
         with_reverse: bool = False,
@@ -67,13 +70,7 @@ class WalkCore:
         community: CommunityState | None = None,
         hop_prob: float = 0.1,
         frontier_cap: int | None = None,
-        key_cast=int,
     ):
-        # vertex keys are OPAQUE: int ids over the broadcast CSR
-        # (key_cast=int) or names over the sharded backend (key_cast=str).
-        # Hop order and sampler weights are identical either way, so the
-        # produced walks match bit-for-bit across backends.
-        self.kc = key_cast
         self.g = g
         self.sampler = sampler
         self.max_depth = max_depth
@@ -92,8 +89,13 @@ class WalkCore:
 
     # -- BFS (random.py:50-81; community teleports community.py:140-185) ----
 
-    def _bfs(self, vid: int, is_reverse: bool, rng) -> list[tuple[int, ...]]:
-        walks: set[tuple[int, ...]] = {(vid,)}
+    def _hops(self, name: str, is_reverse: bool) -> tuple[list, list]:
+        """(pred_names, other_names) of one vertex as Python strings."""
+        preds, others = self.g.get_hops(name, is_reverse)
+        return preds.tolist(), others.tolist()
+
+    def _bfs(self, root: str, is_reverse: bool, rng) -> list[tuple[str, ...]]:
+        walks: set[tuple[str, ...]] = {(root,)}
         comm = self.community
         for _ in range(self.max_depth):
             if self.frontier_cap is not None and len(walks) > self.frontier_cap:
@@ -104,21 +106,13 @@ class WalkCore:
                 )
             for walk in list(walks):
                 tail = walk[0] if is_reverse else walk[-1]
-                preds, others = self.g.get_hops(tail, is_reverse)
-                n = len(preds)
-                if n:
+                preds, others = self._hops(tail, is_reverse)
+                if preds:
                     walks.remove(walk)
-                    kc = self.kc
-                    if is_reverse:
-                        for j in range(n):
-                            walks.add((kc(others[j]), kc(preds[j])) + walk)
-                            if comm is not None:
-                                self._bfs_teleport(walks, walk, kc(others[j]), rng, True)
-                    else:
-                        for j in range(n):
-                            walks.add(walk + (kc(preds[j]), kc(others[j])))
-                            if comm is not None:
-                                self._bfs_teleport(walks, walk, kc(others[j]), rng, False)
+                    for p, o in zip(preds, others):
+                        walks.add((o, p) + walk if is_reverse else walk + (p, o))
+                        if comm is not None:
+                            self._bfs_teleport(walks, walk, o, rng, is_reverse)
         return list(walks)
 
     def _bfs_teleport(self, walks, walk, other, rng, is_reverse):
@@ -126,7 +120,7 @@ class WalkCore:
         c = comm.community_of[other]
         if c >= 0 and rng.random_sample() < self.hop_prob:
             m = comm.members[c]
-            pick = self.kc(m[rng.randint(0, len(m))])
+            pick = str(m[rng.randint(0, len(m))])
             # reference appends the community member WITHOUT a predicate
             # (community.py:163-185) — faithful, including the broken
             # alternation that creates
@@ -136,13 +130,10 @@ class WalkCore:
 
     def _sample_hop(self, walk, is_last, is_reverse, visited, rng_factory):
         tail = walk[0] if is_reverse else walk[-1]
-        preds, others = self.g.get_hops(tail, is_reverse)
         depth = len(walk)
-        kc = self.kc
         cand = [
-            (kc(preds[j]), kc(others[j]))
-            for j in range(len(preds))
-            if ((kc(preds[j]), kc(others[j])), depth) not in visited
+            po for po in zip(*self._hops(tail, is_reverse))
+            if (po, depth) not in visited
         ]
         if not cand:
             if len(walk) > 2:
@@ -160,7 +151,7 @@ class WalkCore:
             visited.add((chosen, depth))
         return chosen
 
-    def _dfs(self, vid: int, entity: str, is_reverse: bool, comm_rng) -> list[tuple[int, ...]]:
+    def _dfs(self, entity: str, is_reverse: bool, comm_rng) -> list[tuple[str, ...]]:
         assert self.max_walks is not None
         visited: set = set()
         if self.seed_mode == "per_call" and self.random_state is not None:
@@ -169,9 +160,9 @@ class WalkCore:
             stream = np.random.RandomState(_entity_seed(self.random_state, entity))
             rng_factory = lambda: stream  # noqa: E731
         comm = self.community
-        walks: list[tuple[int, ...]] = []
+        walks: list[tuple[str, ...]] = []
         while len(walks) < self.max_walks:
-            sub: tuple[int, ...] = (vid,)
+            sub: tuple[str, ...] = (entity,)
             d = 1
             while d // 2 < self.max_depth:
                 hop = self._sample_hop(
@@ -184,7 +175,7 @@ class WalkCore:
                     c = comm.community_of[o]
                     if c >= 0 and comm_rng.random_sample() < self.hop_prob:
                         m = comm.members[c]
-                        o = self.kc(m[comm_rng.randint(0, len(m))])
+                        o = str(m[comm_rng.randint(0, len(m))])
                 sub = (o, p) + sub if is_reverse else sub + (p, o)
                 d = len(sub) - 1
             walks.append(sub)
@@ -192,21 +183,21 @@ class WalkCore:
 
     # -- entry (random.py:120-139) ------------------------------------------
 
-    def extract_walks(self, vid: int, entity: str) -> list[tuple[int, ...]]:
+    def extract_walks(self, entity: str) -> list[tuple[str, ...]]:
         comm_rng = np.random.RandomState(
             self.random_state
             if self.random_state is not None
             else _entity_seed(None, entity)
         )
         if self.max_walks is None:
-            fwd = self._bfs(vid, False, comm_rng)
+            fwd = self._bfs(entity, False, comm_rng)
             if not self.with_reverse:
                 return fwd
-            rev = self._bfs(vid, True, comm_rng)
+            rev = self._bfs(entity, True, comm_rng)
         else:
-            fwd = self._dfs(vid, entity, False, comm_rng)
+            fwd = self._dfs(entity, False, comm_rng)
             if not self.with_reverse:
                 return fwd
-            rev = self._dfs(vid, entity, True, comm_rng)
+            rev = self._dfs(entity, True, comm_rng)
         # r_walk[:-1] + walk, root centered (random.py:134-139)
         return [r[:-1] + w for w in fwd for r in rev]

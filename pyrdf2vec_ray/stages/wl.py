@@ -11,10 +11,11 @@ instances; label propagation runs through both:
 
 Two fits with byte-identical output:
 
-- ``wl_labels``: k vectorized passes over the broadcast CSR edge arrays,
-  for graphs that fit one task.
+- ``wl_labels``: k vectorized passes over one whole-graph CSR's edge
+  arrays, for graphs that fit one task (the reference oracle).
 - ``wl_labels_from_dataset``: the join-rounds form over the triples
-  Dataset (SURVEY.md A9) backing the sharded graph.  L1(pinst) depends
+  Dataset (SURVEY.md A9) backing the sharded graph — the fit WL walks
+  use.  L1(pinst) depends
   on the triple alone, so one obj-keyed exchange yields the entity
   names and the suffixes of rounds 0 and 1; rounds 2+ are block-local
   maps over its materialized, obj-bucketed output.  Ray Data jobs: 1
@@ -211,7 +212,7 @@ def wl_labels_from_dataset(
     a later round reads, one collect for the last).
 
     The returned name → [label_0..k] map is byte-identical to
-    ``wl_labels`` over the broadcast CSR (pinned by tests)."""
+    ``wl_labels`` over one whole-graph CSR (pinned by tests)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 

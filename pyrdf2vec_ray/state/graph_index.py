@@ -1,4 +1,4 @@
-"""Compact CSR adjacency index over the deduplicated triples table.
+"""Compact CSR adjacency kernel over a triples table.
 
 Replaces the reference's dict-of-sets transition matrices
 (graphs/kg.py:122-133, _get_hops kg.py:445-467).  Vertices are interned
@@ -6,13 +6,13 @@ to int32 ids; forward adjacency is (indptr, pred_ids, obj_ids) sorted by
 (subj, pred, obj) and reverse adjacency mirrors it by object — so
 ``get_hops`` is two zero-copy numpy slices instead of a set product.
 
-Distribution model: the arrays are ``ray.put`` ONCE and every walk actor
-maps the same object-store copy (numpy over shared memory — Ray's
-zero-copy deserialization), i.e. the graph is broadcast, never
-re-shipped per batch, unlike the reference which pickles the whole KG
-into every mp.Pool worker (walker.py:187-195).  For graphs larger than
-one node's object store the same structure shards by subj-hash across
-index actors; `num_shards` records the intended partitioning.
+This module is the per-shard kernel, not a serving backend: every shard
+of ``state/sharded_graph.ShardedGraphIndex`` is one ``GraphArrays``
+built by ``GraphIndex.from_table``, and walks and literals are served
+only by that sharded index.  A whole-graph ``GraphIndex`` is still built
+on the driver where a whole-graph algorithm needs every edge at once
+(``stats.vertex_stats``: PageRank, Louvain) and as the reference oracle
+for the Dataset-side fits (``stages.wl.wl_labels``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-
-import ray
 
 
 @dataclass
@@ -39,12 +37,10 @@ class GraphArrays:
 
 
 class GraphIndex:
-    """Driver-side handle; ``broadcast()`` puts the arrays in the object
-    store, ``LocalGraph`` (inside actors) wraps the shared copy."""
+    """Handle on one CSR; ``local()`` wraps it for hop and degree reads."""
 
     def __init__(self, arrays: GraphArrays):
         self.arrays = arrays
-        self._ref = None
 
     # -- construction --------------------------------------------------------
 
@@ -96,40 +92,19 @@ class GraphIndex:
 
     @staticmethod
     def from_dataset(triples_ds) -> "GraphIndex":
-        """Collect the (already deduplicated, typically small relative to the
-        corpus) triples into the index.  At cluster scale this becomes a
-        per-shard build on index actors; the CSR layout is shard-ready
-        (hash subj → shard)."""
+        """Collect the (already deduplicated) triples to the caller and
+        build one CSR over all of them — for whole-graph algorithms on
+        graphs that fit one process; walks use the sharded build."""
         from pyrdf2vec_ray.util import to_table
 
         return GraphIndex.from_table(to_table(triples_ds))
-
-    def fingerprint(self) -> str:
-        """Cheap content identity of the graph (edge structure + vocab):
-        used by checkpoint manifests so a resume against a DIFFERENT graph
-        invalidates completed partitions instead of silently reusing them."""
-        import zlib
-
-        a = self.arrays
-        h = zlib.crc32(a.fwd_pred.tobytes())
-        h = zlib.crc32(a.fwd_obj.tobytes(), h)
-        h = zlib.crc32(a.fwd_indptr.tobytes(), h)
-        h = zlib.crc32(a.names.tobytes(), h)
-        return f"g{len(a.names)}e{len(a.fwd_pred)}x{h:08x}"
-
-    # -- broadcast -----------------------------------------------------------
-
-    def broadcast(self):
-        if self._ref is None:
-            self._ref = ray.put(self.arrays)
-        return self._ref
 
     def local(self) -> "LocalGraph":
         return LocalGraph(self.arrays)
 
 
 class LocalGraph:
-    """Per-actor view: id lookups + hop slices (≡ kg.get_hops)."""
+    """Id-keyed hop slices (≡ kg.get_hops) and degrees over one CSR."""
 
     def __init__(self, arrays: GraphArrays):
         self.a = arrays
@@ -137,14 +112,6 @@ class LocalGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.a.names)
-
-    def name_to_id(self, name: str) -> int:
-        # names is sorted (np.unique) → binary search; no per-actor dict
-        # materialization over the whole vocabulary
-        i = int(np.searchsorted(self.a.names, name))
-        if i < len(self.a.names) and self.a.names[i] == name:
-            return i
-        return -1
 
     def get_hops(self, vid: int, is_reverse: bool = False):
         """(pred_ids, other_ids) numpy views, sorted by (pred, other) —
@@ -163,10 +130,3 @@ class LocalGraph:
 
     def in_deg(self) -> np.ndarray:
         return np.diff(self.a.rev_indptr)
-
-    def contains(self, names: list[str]) -> np.ndarray:
-        """Vectorized existence check (≡ kg.is_exist, kg.py:352-375, as a
-        broadcast semi-join against the vertex inventory)."""
-        idx = np.searchsorted(self.a.names, names)
-        idx = np.clip(idx, 0, len(self.a.names) - 1)
-        return np.asarray(self.a.names[idx] == np.asarray(names, dtype=object))

@@ -1,29 +1,30 @@
-"""Hash-sharded graph index: walk extraction without driver-side graph
-materialization (SURVEY.md §4 "Data distribution", the scale path that
-``GraphIndex.from_dataset`` only documents).
+"""Hash-sharded graph index: the one backend that serves walks and
+literals, built and served without collecting the graph to the driver
+(SURVEY.md §4 "Data distribution").
 
 Build: the triples Dataset is hash-partitioned TWICE — by
 ``crc32(subj) % S`` for forward hops and ``crc32(obj) % S`` for reverse
 hops — straight to partitioned parquet (a shuffle-by-write; the driver
 streams, never collects).  One Ray task per (direction, shard) then
-loads its partition and builds the same CSR layout as the broadcast
-index (``GraphIndex.from_table``), leaving the arrays in the object
-store.  The driver holds S object refs per direction, not the graph.
+loads its partition and builds the CSR kernel of
+``state/graph_index.py`` (``GraphIndex.from_table``), leaving the arrays
+in the object store.  The driver holds S object refs per direction, not
+the graph.  ``num_shards=1`` is the single-CSR case: one forward and one
+reverse array set holding every triple.
 
 Serve: hop lookups route by vertex NAME — shard ``crc32(name) % S``
 owns every triple whose subj (resp. obj) is that name, so one shard
 answers each forward (resp. reverse) ``get_hops`` exactly.  Hops come
-back as name arrays sorted by (pred, obj) — the per-shard vocabulary is
-sorted, so the order is lexicographic by names, identical to the
-broadcast CSR's (global ids are positions in the globally sorted
-vocabulary).  Walks over either backend are therefore bit-identical
-(pinned by tests/test_sharded_graph.py).
+back as name arrays sorted by (pred, other) — each shard's vocabulary
+is sorted, so the order is lexicographic by name and does not depend on
+S.  Walks, sampler fits and literals are therefore identical for every
+shard count (pinned by tests/test_sharded_graph.py).
 
-On one node every worker maps all shards zero-copy from the shared
-object store; on a multi-node cluster each shard ref lives wherever its
-build task ran and workers pull only the shards their walks touch (or
-pin walk actors to shard owners by routing entity batches with the same
-crc32 — the partitioning key is stable across processes).
+On one node every worker maps the shards it touches zero-copy from the
+shared object store; on a multi-node cluster each shard ref lives
+wherever its build task ran and workers pull only the shards their walks
+touch (walk batches are routed by the same crc32, which is stable across
+processes).
 
 Reference parity: this replaces kg.py:122-133's driver-resident
 transition matrices; the reference ships the WHOLE graph to every
@@ -57,6 +58,29 @@ def _shard_col(names: pa.ChunkedArray, num_shards: int) -> pa.Array:
         dtype=np.int64, count=len(vals),
     )
     return pa.array(out, pa.int64())
+
+
+@ray.remote
+def _shard_crc(a: GraphArrays) -> tuple[int, int, int]:
+    """(vertices, edges, crc32 over the forward CSR and vocabulary) of
+    one shard, computed in a worker; only three ints reach the caller."""
+    h = zlib.crc32(a.fwd_pred.tobytes())
+    h = zlib.crc32(a.fwd_obj.tobytes(), h)
+    h = zlib.crc32(a.fwd_indptr.tobytes(), h)
+    h = zlib.crc32(a.names.tobytes(), h)
+    return len(a.names), len(a.fwd_pred), h
+
+
+def require_sharded(gi, caller: str) -> None:
+    """Walks and literals are served only by a ShardedGraphIndex; reject
+    anything else (e.g. a whole-graph ``GraphIndex``) by name."""
+    if not isinstance(gi, ShardedGraphIndex):
+        raise TypeError(
+            f"{caller} takes a ShardedGraphIndex, not "
+            f"{type(gi).__name__}; build one with "
+            "ShardedGraphIndex.build(ray.data.from_arrow(triples), "
+            "num_shards=...)"
+        )
 
 
 @ray.remote
@@ -138,6 +162,22 @@ class ShardedGraphIndex:
             f"{self.parquet_root}/fwd", columns=TRIPLE_COLS
         )
 
+    def fingerprint(self) -> str:
+        """Content identity of the graph for checkpoint manifests, so a
+        resume against a DIFFERENT graph rebuilds instead of reusing
+        completed partitions.  One task per forward shard hashes that
+        shard's CSR where it lives; no shard array reaches the driver.
+        The forward shards hold every triple once, and each shard's CSR
+        is sorted, so the same triples give the same fingerprint in any
+        scratch dir and row order (a different shard count gives a
+        different one)."""
+        parts = ray.get([_shard_crc.remote(r) for r in self.fwd_refs])
+        h = 0
+        for nv, ne, crc in parts:
+            h = zlib.crc32(f"{nv},{ne},{crc};".encode(), h)
+        edges = sum(ne for _, ne, _ in parts)
+        return f"s{self.num_shards}e{edges}x{h:08x}"
+
     def local(self) -> "ShardedLocalGraph":
         """Lazy worker/driver-side view: shards resolve from the object
         store on FIRST TOUCH (shard-owner routing, VERDICT r4 item 2) —
@@ -150,22 +190,13 @@ class ShardedLocalGraph:
     """Worker-side view over the shard arrays (zero-copy object-store
     maps on the node that holds them).  Keys are vertex NAMES.
 
-    Two forms: the eager constructor takes resolved array lists
-    (tests / already-local state); :meth:`from_refs` takes object refs
-    and resolves each (direction, shard) LAZILY on first touch — the
-    multi-node story: walk batches are routed by ``crc32(entity) % S``
-    (see ``walkers.extract_walks``), so an actor pinned to shard s maps
-    s's arrays plus on-demand pulls for the shards its hops cross,
-    O(graph/S + touched) per worker instead of O(graph).
-    ``mapped_count()`` reports how many (direction, shard) slots are
-    resident — pinned by tests/test_sharded_graph.py."""
-
-    def __init__(self, fwd: list[GraphArrays], rev: list[GraphArrays]):
-        self.fwd = list(fwd)
-        self.rev = list(rev)
-        self.num_shards = len(self.fwd)
-        self._fwd_refs: list | None = None
-        self._rev_refs: list | None = None
+    Built only by :meth:`from_refs`, which resolves each (direction,
+    shard) LAZILY on first touch: walk batches are routed by
+    ``crc32(entity) % S`` (see ``walkers.extract_walks``), so a worker
+    holding shard s's entities maps s's arrays plus on-demand pulls for
+    the shards its hops cross, O(graph/S + touched) per worker instead
+    of O(graph).  ``mapped_count()`` reports how many (direction, shard)
+    slots are resident — pinned by tests/test_sharded_graph.py."""
 
     @classmethod
     def from_refs(cls, fwd_refs: list, rev_refs: list) -> "ShardedLocalGraph":
@@ -199,8 +230,7 @@ class ShardedLocalGraph:
 
     def get_hops(self, name: str, is_reverse: bool = False):
         """(pred_names, other_names) in (pred, other) lexicographic order
-        — the same order the broadcast CSR yields, so sampled walks match
-        across backends."""
+        — the same for every shard count, so sampled walks are too."""
         s = shard_of(name, self.num_shards)
         a = self._shard(s, is_reverse)
         vid = self._local_id(a, name)
@@ -225,6 +255,3 @@ class ShardedLocalGraph:
         r = self._shard(s, True)
         vid = self._local_id(r, name)
         return vid >= 0 and r.rev_indptr[vid + 1] > r.rev_indptr[vid]
-
-    def contains(self, names: list[str]) -> np.ndarray:
-        return np.array([self.contains_one(n) for n in names], dtype=bool)

@@ -3,7 +3,7 @@ predicate counts, PageRank, community id — the fitted-sampler state as
 one queryable table (SURVEY.md §2.4).
 
 Degrees/counts are bucket-shuffle grouped counts over the triples
-Dataset; PageRank and communities come from the (broadcast) CSR index
+Dataset; PageRank and communities come from one whole-graph CSR index
 since they are iterative whole-graph algorithms (SURVEY.md A5/A10
 document the join-iteration scale path).
 """

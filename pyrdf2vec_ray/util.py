@@ -5,19 +5,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 
-def default_concurrency(frac: float = 0.5, lo: int = 1) -> tuple[int, int]:
-    """Actor-pool size scaled to the Ray session's CPU count so stages
-    keep scaling when the cluster grows (a fixed cap would flatten the
-    N→4N curve).  `frac` reserves headroom for the other pipeline stages
-    (a pool that takes every CPU starves the read/shuffle stages)."""
-    import ray
-
-    cpus = 8.0
-    if ray.is_initialized():
-        cpus = ray.cluster_resources().get("CPU", 8.0)
-    return (lo, max(2, int(cpus * frac)))
-
-
 def to_table(ds) -> pa.Table:
     """Materialize a (small) Dataset into one Arrow table on the caller.
     Use only for results that fit on one node — tests, oracles, fitted

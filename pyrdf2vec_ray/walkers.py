@@ -2,9 +2,12 @@
 
 ``extract_walks(gi, entities, spec)`` returns a lazy Dataset of
 ``(entity, walks: list<list<string>>)`` rows — one row per root entity,
-exactly the reference's ``EntityWalks`` (typings.py:13).  Entities
-stream through an actor pool; the graph, fitted sampler state, WL
-labels and community partition are broadcast once via the object store.
+exactly the reference's ``EntityWalks`` (typings.py:13).  ``gi`` is a
+``ShardedGraphIndex``: root entities stream through ``map_batches``
+tasks that map the graph shards their hops touch from the object store.
+The graph-global fitted state (sampler statistics, WL labels, community
+partition) is fitted from the index's triples Dataset and broadcast
+once via the object store.
 Corpus-global strategies (HALK frequency filter, NGram id assignment)
 add a barrier aggregation + a rewrite pass, per SURVEY.md A8/W4.
 """
@@ -20,11 +23,14 @@ import ray
 import ray.data
 
 from pyrdf2vec_ray.functions import canon
-from pyrdf2vec_ray.samplers import FittedSampler, SamplerSpec
-from pyrdf2vec_ray.stages.community import detect_communities
+from pyrdf2vec_ray.samplers import NameFittedSampler, SamplerSpec
 from pyrdf2vec_ray.stages.walk import WalkCore
-from pyrdf2vec_ray.stages.wl import wl_labels
-from pyrdf2vec_ray.state.graph_index import GraphIndex
+from pyrdf2vec_ray.state.sharded_graph import (
+    ShardedGraphIndex,
+    ShardedLocalGraph,
+    _shard_col,
+    require_sharded,
+)
 
 STRATEGIES = (
     "random", "anonymous", "walklet", "split", "ngram", "halk", "wl", "community",
@@ -40,10 +46,13 @@ def register_walker(name: str, fn) -> None:
     ``fn(graph, entity, spec) -> iterable[sequence[str]]`` and then use
     ``WalkerSpec(strategy=name)`` anywhere a built-in strategy goes.
 
-    ``graph`` is a NAME-keyed hop view (:class:`NameGraphView`) uniform
-    across the broadcast-CSR and sharded backends; ``entity`` is the
-    root name; the returned walks are deduped and sorted exactly like
-    built-ins (SURVEY §4 ordering).  ``fn`` ships to workers via
+    ``graph`` is a NAME-keyed hop view (:class:`NameGraphView`) over the
+    sharded graph: ``get_hops(name, is_reverse=False)`` returns
+    (pred_names, other_names) lists sorted by (pred, other), and
+    ``contains(name)`` checks existence.  ``entity`` is the root name,
+    already checked to exist.  The returned walks are deduped and sorted
+    exactly like built-ins (SURVEY §4 ordering).  ``fn`` ships to
+    workers via
     cloudpickle — functions from installed packages go by reference,
     locally-defined functions by value; a module-level fn in a
     driver-only module won't import on workers (define it locally or
@@ -57,30 +66,20 @@ def register_walker(name: str, fn) -> None:
 
 
 class NameGraphView:
-    """Name-keyed hop access handed to plugin walkers — one surface over
-    both backends (ids stay an internal detail of the CSR form)."""
+    """Name-keyed hop access handed to plugin walkers: plain lists of
+    Python strings, so a plugin never sees shard arrays."""
 
-    def __init__(self, g, sharded: bool):
+    def __init__(self, g: ShardedLocalGraph):
         self._g = g
-        self._sharded = sharded
 
     def get_hops(self, name, is_reverse: bool = False):
         """(pred_names, other_names), sorted by (pred, other)."""
-        if self._sharded:
-            preds, others = self._g.get_hops(str(name), is_reverse)
-            return [str(p) for p in preds], [str(o) for o in others]
-        vid = self._g.name_to_id(str(name))
-        if vid < 0:
-            return [], []
-        preds, others = self._g.get_hops(vid, is_reverse)
-        names = self._g.a.names
-        return ([str(names[i]) for i in preds],
-                [str(names[i]) for i in others])
+        preds, others = self._g.get_hops(str(name), is_reverse)
+        return preds.tolist(), others.tolist()
 
     def contains(self, name) -> bool:
-        if self._sharded:
-            return self._g.contains_one(str(name))
-        return self._g.name_to_id(str(name)) >= 0
+        return self._g.contains_one(str(name))
+
 
 WALKS_SCHEMA = pa.schema(
     [("entity", pa.string()), ("walks", pa.list_(pa.list_(pa.string())))]
@@ -129,31 +128,17 @@ class WalkerSpec:
 
 
 class WalkExtractor:
-    """map_batches actor: holds the graph backend + fitted state, walks a
-    batch of root entities per call.
+    """map_batches worker state: holds the lazy shard view + fitted
+    state, walks a batch of root entities per call."""
 
-    Backends: ``graph_ref`` → zero-copy broadcast CSR (int vertex ids);
-    ``shard_refs=(fwd, rev)`` → hash-sharded per-name routing
-    (state/sharded_graph.py) — walks are identical either way."""
-
-    def __init__(self, spec: WalkerSpec, entities_ref,
-                 sampler_ref, graph_ref=None, shard_refs=None,
-                 labels_ref=None, community_ref=None, custom_fn=None):
-        from pyrdf2vec_ray.state.graph_index import LocalGraph
-        from pyrdf2vec_ray.state.sharded_graph import ShardedLocalGraph
-
-        self.sharded = shard_refs is not None
-        if self.sharded:
-            fwd_refs, rev_refs = shard_refs
-            # lazy shard-owner routing: entity batches arrive routed by
-            # crc32(entity) % S (extract_walks), so this worker resolves
-            # its batch's shard + the shards its hops cross on demand —
-            # O(graph/S + touched) resident, not all 2·S refs
-            self.g = ShardedLocalGraph.from_refs(fwd_refs, rev_refs)
-            key_cast = str
-        else:
-            self.g = LocalGraph(ray.get(graph_ref))
-            key_cast = int
+    def __init__(self, spec: WalkerSpec, entities_ref, sampler_ref,
+                 shard_refs, labels_ref=None, community_ref=None,
+                 custom_fn=None):
+        # lazy shard-owner routing: entity batches arrive routed by
+        # crc32(entity) % S (extract_walks), so this worker resolves
+        # its batch's shard + the shards its hops cross on demand —
+        # O(graph/S + touched) resident, not all 2·S refs
+        self.g = ShardedLocalGraph.from_refs(*shard_refs)
         self.spec = spec
         if isinstance(entities_ref, tuple):   # sharded keep-set refs
             self.entities = ShardedKeepSet.from_refs(entities_ref)
@@ -162,7 +147,7 @@ class WalkExtractor:
         self.custom_fn = custom_fn
         if custom_fn is not None:
             # plugin walkers get the name-keyed view; no core/fits needed
-            self.view = NameGraphView(self.g, self.sharded)
+            self.view = NameGraphView(self.g)
             self.core = None
             self.labels = None
             return
@@ -180,10 +165,9 @@ class WalkExtractor:
             community=community,
             hop_prob=spec.hop_prob,
             frontier_cap=spec.frontier_cap,
-            key_cast=key_cast,
         )
 
-    def _canonical(self, name_walks: list[list[str]], root: str) -> list[list[str]]:
+    def _canonical(self, name_walks: list[tuple[str, ...]], root: str) -> list[list[str]]:
         spec = self.spec
         s = spec.strategy
         out: set[tuple] = set()
@@ -201,7 +185,7 @@ class WalkExtractor:
         elif s == "split":
             fn = spec.func_split or canon.split_walk
             for w in name_walks:
-                out.add(fn(w, spec.with_reverse))
+                out.add(fn(list(w), spec.with_reverse))
         elif s == "wl":
             for n in range(spec.wl_iterations + 1):
                 for w in name_walks:
@@ -218,36 +202,23 @@ class WalkExtractor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         ents, walk_lists = [], []
         for entity in batch["entity"].to_pylist():
+            # existence (kg.is_exist, kg.py:352-375; raise semantics
+            # rdf2vec.py:166-172) is checked here, on the owner shard
+            if not self.g.contains_one(entity):
+                raise ValueError(
+                    f"The entity {entity!r} is not in the Knowledge Graph."
+                )
+            ents.append(entity)
             if self.custom_fn is not None:
-                if not self.view.contains(entity):
-                    raise ValueError(
-                        f"The entity {entity!r} is not in the Knowledge Graph."
-                    )
                 ws = self.custom_fn(self.view, entity, self.spec)
-                ents.append(entity)
                 walk_lists.append(
                     [list(t) for t in
                      sorted({tuple(str(x) for x in w) for w in ws})]
                 )
-                continue
-            if self.sharded:
-                if not self.g.contains_one(entity):
-                    raise ValueError(
-                        f"The entity {entity!r} is not in the Knowledge Graph."
-                    )
-                key_walks = self.core.extract_walks(entity, entity)
-                name_walks = [[str(t) for t in w] for w in key_walks]
             else:
-                vid = self.g.name_to_id(entity)
-                if vid < 0:
-                    raise ValueError(
-                        f"The entity {entity!r} is not in the Knowledge Graph."
-                    )
-                names = self.g.a.names
-                id_walks = self.core.extract_walks(vid, entity)
-                name_walks = [[str(names[i]) for i in w] for w in id_walks]
-            ents.append(entity)
-            walk_lists.append(self._canonical(name_walks, entity))
+                walk_lists.append(
+                    self._canonical(self.core.extract_walks(entity), entity)
+                )
         return pa.Table.from_pydict(
             {"entity": ents, "walks": walk_lists}, schema=WALKS_SCHEMA
         )
@@ -259,12 +230,8 @@ class ShardedKeepSet:
     the KG" jobs), replacing the driver-built broadcast ``frozenset``:
     each shard is a sorted fixed-width (U-dtype) name array living in
     the object store; lookup = crc32 route + one searchsorted.  Workers
-    map shards zero-copy, the driver only ever holds refs."""
-
-    def __init__(self, shards: list[np.ndarray]):
-        self.shards = list(shards)
-        self.num_shards = len(self.shards)
-        self._refs: list | None = None
+    map shards zero-copy, the driver only ever holds refs.  Built only
+    by :meth:`from_refs`."""
 
     @classmethod
     def from_refs(cls, refs) -> "ShardedKeepSet":
@@ -315,8 +282,6 @@ def build_keepset_refs(
     it back yields entity batches already grouped by owner shard."""
     import tempfile
 
-    from pyrdf2vec_ray.state.sharded_graph import _shard_col
-
     root = scratch_dir or tempfile.mkdtemp(prefix="keepset_")
 
     def add_shard(batch: pa.Table) -> pa.Table:
@@ -338,17 +303,6 @@ def build_keepset_refs(
 _EXTRACTOR_CACHE: dict = {}
 
 
-def assert_exists(gi: GraphIndex, entities: list[str]) -> None:
-    """Existence check (kg.is_exist, kg.py:352-375; raise semantics
-    rdf2vec.py:166-172)."""
-    ok = gi.local().contains(entities)
-    if not bool(np.all(ok)):
-        missing = [e for e, m in zip(entities, ok) if not m]
-        raise ValueError(
-            f"The provided entities must be in the Knowledge Graph: {missing}"
-        )
-
-
 def _fit_cached(gi, key, builder):
     """Graph-global fitted state (sampler stats, WL labels, community
     partition) cached on the index object itself — repeated
@@ -368,126 +322,82 @@ def _fit_cached(gi, key, builder):
 
 
 def extract_walks(
-    gi,
+    gi: ShardedGraphIndex,
     entities,
     spec: WalkerSpec,
-    concurrency: int | tuple | None = None,   # unused: stateless tasks scale elastically
+    concurrency: int | tuple | None = None,
     batch_size: int = 256,
-    skip_verify: bool = False,
 ) -> ray.data.Dataset:
-    """Entities → per-entity canonical walks Dataset.
-
-    ``gi`` is either a broadcast ``GraphIndex`` or a
+    """Entities → per-entity canonical walks Dataset over a
     ``ShardedGraphIndex`` (state/sharded_graph.py — no driver-side graph
-    materialization; existence is then checked inside the walk tasks,
-    raising the same message).  Walk output is identical across the two
-    backends.
+    materialization).  Existence is checked inside the walk tasks: an
+    unknown root fails the Dataset with "The entity ... is not in the
+    Knowledge Graph."
 
     ``entities`` is a list of root names (reference API,
     rdf2vec.py:141-166) OR a Dataset with an ``entity`` column — the
     scale form for "walk every vertex of the KG" jobs: roots stream,
-    existence is checked in-task, and the md5 keep-set becomes a
-    crc32-sharded sorted-name index (``ShardedKeepSet``) instead of a
-    driver-built broadcast frozenset."""
-    from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
+    and the md5 keep-set becomes a crc32-sharded sorted-name index
+    (``ShardedKeepSet``) instead of a driver-built broadcast frozenset.
 
-    sharded = isinstance(gi, ShardedGraphIndex)
-    ds_roots = isinstance(entities, ray.data.Dataset)
+    ``concurrency`` caps the concurrent walk tasks (the reference's
+    walker n_jobs, walker.py:106-108); None schedules them elastically."""
+    require_sharded(gi, "extract_walks")
     custom_fn = _CUSTOM_STRATEGIES.get(spec.strategy)
-    keep_root = None
-    if ds_roots:
+    if isinstance(entities, ray.data.Dataset):
         # single consumer: the keep-set build WRITES the roots as parquet
         # partitioned by crc32(entity) % S, and the walk input stream
         # READS that parquet back — one pass over the (often
         # distinct-shuffled) upstream lineage, no materialize barrier,
         # and the read-back fragments are shard-pure so every walk batch
-        # arrives already routed to its owner shard.
-        entities = entities.select_columns(["entity"])
+        # arrives already routed to its owner shard: the lazy
+        # ShardedLocalGraph in each task resolves its batch's owner
+        # shard plus the shards its hops cross — O(graph/S + touched)
+        # resident per worker, not all 2·S shard arrays.
         entities_ref, keep_root = build_keepset_refs(
-            entities, num_shards=gi.num_shards if sharded else 8
+            entities.select_columns(["entity"]), num_shards=gi.num_shards
         )
-    labels_ref = None
-    community_ref = None
-    if sharded:
-        from pyrdf2vec_ray.samplers import NameFittedSampler
-
-        graph_ref = None
-        shard_refs = (gi.fwd_refs, gi.rev_refs)
-        if not ds_roots:
-            entities_ref = ray.put(frozenset(entities))
-        sampler_ref = None if custom_fn is not None else _fit_cached(
-            gi, ("sampler", spec.sampler),
-            lambda: ray.put(
-                NameFittedSampler.fit(spec.sampler, gi.triples_dataset)
-            ),
-        )
-        # graph-global fits from the parquet-backed triples Dataset —
-        # identical fitted state to the broadcast-CSR forms
-        if spec.strategy == "wl":
-            from pyrdf2vec_ray.stages.wl import wl_labels_from_dataset
-
-            labels_ref = _fit_cached(
-                gi, ("wl", spec.wl_iterations, spec.md5_bytes),
-                lambda: ray.put(wl_labels_from_dataset(
-                    gi.triples_dataset(), spec.wl_iterations, spec.md5_bytes
-                )),
-            )
-        if spec.strategy == "community":
-            from pyrdf2vec_ray.stages.community import (
-                detect_communities_from_dataset,
-            )
-
-            community_ref = _fit_cached(
-                gi, ("community",),
-                lambda: ray.put(
-                    detect_communities_from_dataset(gi.triples_dataset())
-                ),
-            )
-    else:
-        if not skip_verify and not ds_roots:
-            assert_exists(gi, entities)
-        g = gi.local()
-        graph_ref = gi.broadcast()
-        shard_refs = None
-        if not ds_roots:
-            entities_ref = ray.put(frozenset(entities))
-        sampler_ref = None if custom_fn is not None else _fit_cached(
-            gi, ("sampler", spec.sampler),
-            lambda: ray.put(FittedSampler.fit(spec.sampler, g)),
-        )
-        if spec.strategy == "wl":
-            labels_ref = _fit_cached(
-                gi, ("wl", spec.wl_iterations, spec.md5_bytes),
-                lambda: ray.put(
-                    wl_labels(g, spec.wl_iterations, spec.md5_bytes)
-                ),
-            )
-        if spec.strategy == "community":
-            community_ref = _fit_cached(
-                gi, ("community",), lambda: ray.put(detect_communities(g))
-            )
-
-    if ds_roots:
-        # shard-routed walk input (VERDICT r4 item 2): the keep-set
-        # parquet fragments are shard-pure, so the lazy ShardedLocalGraph
-        # in each task resolves its batch's owner shard plus the shards
-        # its hops cross — O(graph/S + touched) resident per worker, not
-        # all 2·S shard arrays.
         ents_ds = ray.data.read_parquet(keep_root).select_columns(["entity"])
     else:
+        entities_ref = ray.put(frozenset(entities))
         ents_ds = ray.data.from_arrow(
             pa.table({"entity": pa.array(entities, pa.string())})
         )
         n_blocks = max(1, min(len(entities) // max(1, batch_size), 64))
         ents_ds = ents_ds.repartition(n_blocks)
+
+    sampler_ref = None if custom_fn is not None else _fit_cached(
+        gi, ("sampler", spec.sampler),
+        lambda: ray.put(NameFittedSampler.fit(spec.sampler, gi.triples_dataset)),
+    )
+    labels_ref = None
+    community_ref = None
+    if spec.strategy == "wl":
+        from pyrdf2vec_ray.stages.wl import wl_labels_from_dataset
+
+        labels_ref = _fit_cached(
+            gi, ("wl", spec.wl_iterations, spec.md5_bytes),
+            lambda: ray.put(wl_labels_from_dataset(
+                gi.triples_dataset(), spec.wl_iterations, spec.md5_bytes
+            )),
+        )
+    if spec.strategy == "community":
+        from pyrdf2vec_ray.stages.community import (
+            detect_communities_from_dataset,
+        )
+
+        community_ref = _fit_cached(
+            gi, ("community",),
+            lambda: ray.put(detect_communities_from_dataset(gi.triples_dataset())),
+        )
+
+    shard_refs = (gi.fwd_refs, gi.rev_refs)
     # stateless tasks + per-worker-process extractor cache (keyed by the
     # broadcast refs): warm Ray workers skip both actor-pool spin-up and
-    # re-deserialization of the graph (zero-copy get); elastic scheduling
-    key = (str(graph_ref), str(shard_refs), str(entities_ref),
-           str(sampler_ref), str(labels_ref), str(community_ref), spec,
-           id(custom_fn))
+    # re-deserialization of the fitted state; elastic scheduling
+    key = (str(shard_refs), str(entities_ref), str(sampler_ref),
+           str(labels_ref), str(community_ref), spec, id(custom_fn))
     kwargs = {
-        "graph_ref": graph_ref,
         "shard_refs": shard_refs,
         "spec": spec,
         "entities_ref": entities_ref,
@@ -505,11 +415,9 @@ def extract_walks(
             _EXTRACTOR_CACHE[key] = extractor
         return extractor(batch)
 
-    # concurrency mirrors the reference's walker n_jobs surface
-    # (walker.py:106-108): None → elastic task scheduling; an int caps
-    # the concurrent walk tasks so co-running stages keep their share of
-    # the cluster ((min, max) actor-pool tuples take the max — the walk
-    # UDF is a cached plain function, not an actor class)
+    # an int caps the concurrent walk tasks so co-running stages keep
+    # their share of the cluster; (min, max) actor-pool tuples take the
+    # max — the walk UDF is a cached plain function, not an actor class
     cap = max(concurrency) if isinstance(concurrency, tuple) else concurrency
     ds = ents_ds.map_batches(
         walk_batch, batch_format="pyarrow", batch_size=batch_size,

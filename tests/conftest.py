@@ -1,3 +1,4 @@
+import pyarrow as pa
 import pytest
 import ray
 
@@ -56,3 +57,28 @@ def ray_jobs(monkeypatch):
             monkeypatch.setattr(StreamingExecutor, "execute", real)
 
     return counting
+
+
+@pytest.fixture(scope="session")
+def sharded_index(tmp_path_factory):
+    """Builds a ``ShardedGraphIndex`` — the graph walks and literals
+    are served from — over a list of (s, p, o) triples or a triples
+    table, in a fresh scratch dir::
+
+        gi = sharded_index(synth.LOOP)            # num_shards=1
+        gi4 = sharded_index(table, num_shards=4)
+    """
+    import ray.data
+
+    from pyrdf2vec_ray import synth
+    from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
+
+    def build(triples, num_shards: int = 1):
+        table = (triples if isinstance(triples, pa.Table)
+                 else synth.triples_table(triples))
+        return ShardedGraphIndex.build(
+            ray.data.from_arrow(table), num_shards=num_shards,
+            scratch_dir=str(tmp_path_factory.mktemp("shards")),
+        )
+
+    return build

@@ -6,7 +6,6 @@ import numpy as np
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
 from pyrdf2vec_ray.pipelines.rdf2vec import RDF2VecTransformer
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.walkers import WalkerSpec
 
 CORPUS = [
@@ -25,8 +24,8 @@ def test_distributed_deterministic():
     assert not np.allclose(va[0], va[1])
 
 
-def test_distributed_in_transformer():
-    gi = GraphIndex.from_table(synth.triples_table(synth.LOOP))
+def test_distributed_in_transformer(sharded_index):
+    gi = sharded_index(synth.LOOP)
     entities = [synth.IRI_PREFIX + n for n in ["Alice", "Bob", "Dean"]]
     t = RDF2VecTransformer(
         embedder=DistributedWord2Vec(num_workers=2, vector_size=8, epochs=2, seed=3),

@@ -13,7 +13,6 @@ from pyrdf2vec_ray.embedders import (
     ft_hash_bytes,
 )
 from pyrdf2vec_ray.pipelines.rdf2vec import RDF2VecTransformer
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.walkers import WalkerSpec
 
 IRI = synth.IRI_PREFIX
@@ -67,8 +66,8 @@ def test_ngram_hash_reference_values():
 
 
 @pytest.fixture(scope="module")
-def gi_loop():
-    return GraphIndex.from_table(synth.triples_table(synth.LOOP))
+def gi_loop(sharded_index):
+    return sharded_index(synth.LOOP)
 
 
 def test_fit_transform_equivalence(gi_loop):
@@ -110,10 +109,8 @@ def test_transformer_literals_and_save_load(gi_loop, tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(emb, emb2))
 
 
-def test_transformer_online_update(gi_loop):
-    chain_gi = GraphIndex.from_table(
-        synth.triples_table(synth.LOOP + synth.LONG_CHAIN)
-    )
+def test_transformer_online_update(sharded_index):
+    chain_gi = sharded_index(synth.LOOP + synth.LONG_CHAIN)
     t = RDF2VecTransformer(
         embedder=Word2Vec(vector_size=8, epochs=1, seed=2),
         walkers=[WalkerSpec(max_depth=1, max_walks=None)],

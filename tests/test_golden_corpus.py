@@ -7,7 +7,6 @@ emit EXACTLY those walk sets, including Python's bytes-repr token
 format."""
 
 from pyrdf2vec_ray import synth
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -46,8 +45,7 @@ CORPUS_CHAIN = {
 }
 
 
-def corpus_for(triples, root):
-    gi = GraphIndex.from_table(synth.triples_table(triples))
+def corpus_for(gi, root):
     spec = WalkerSpec(
         strategy="random", max_depth=2, max_walks=None, md5_bytes=8,
         md5_positional=True,
@@ -59,11 +57,13 @@ def corpus_for(triples, root):
     return out
 
 
-def test_golden_corpus_loop():
+def test_golden_corpus_loop(sharded_index):
+    gi = sharded_index(synth.LOOP)
     for root, want in CORPUS_LOOP.items():
-        assert corpus_for(synth.LOOP, root) == want, root
+        assert corpus_for(gi, root) == want, root
 
 
-def test_golden_corpus_chain():
+def test_golden_corpus_chain(sharded_index):
+    gi = sharded_index(synth.LONG_CHAIN)
     for root, want in CORPUS_CHAIN.items():
-        assert corpus_for(synth.LONG_CHAIN, root) == want, root
+        assert corpus_for(gi, root) == want, root

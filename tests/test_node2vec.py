@@ -3,9 +3,10 @@ limit behaviors from Grover & Leskovec 2016, run through the open
 walker surface on a hand-built graph."""
 from __future__ import annotations
 
+import pytest
+
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.functions.node2vec import register_node2vec
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -19,10 +20,10 @@ TRIPLES = (
 )
 
 
-def _gi():
-    full = [(synth.IRI_PREFIX + a, p, synth.IRI_PREFIX + b)
-            for a, p, b in TRIPLES]
-    return GraphIndex.from_table(synth.triples_table(full))
+@pytest.fixture(scope="module")
+def gi(sharded_index):
+    return sharded_index([(synth.IRI_PREFIX + a, p, synth.IRI_PREFIX + b)
+                          for a, p, b in TRIPLES])
 
 
 def _walks(gi, name, entities):
@@ -35,8 +36,7 @@ def _walks(gi, name, entities):
     return out
 
 
-def test_node2vec_deterministic_and_valid():
-    gi = _gi()
+def test_node2vec_deterministic_and_valid(gi):
     adj = {}
     for a, p, b in TRIPLES:
         adj.setdefault(synth.IRI_PREFIX + a, set()).add(
@@ -53,8 +53,7 @@ def test_node2vec_deterministic_and_valid():
             assert (w[i + 1], w[i + 2]) in adj[w[i]]  # every hop is a real edge
 
 
-def test_node2vec_high_q_backtracks_low_q_explores():
-    gi = _gi()
+def test_node2vec_high_q_backtracks_low_q_explores(gi):
     root = synth.IRI_PREFIX + "H"
     leafs = {synth.IRI_PREFIX + s + "leaf" for s in ("A", "B", "C")}
 
@@ -72,10 +71,9 @@ def test_node2vec_high_q_backtracks_low_q_explores():
     assert all(set(w) & leafs for w in w_out)
 
 
-def test_metapath_exhaustive_enumeration():
+def test_metapath_exhaustive_enumeration(gi):
     from pyrdf2vec_ray.functions.node2vec import register_metapath
 
-    gi = _gi()
     root = synth.IRI_PREFIX + "H"
     # pattern ["to", "to"]: H -to-> spoke -to-> leaf; the spokes' "back"
     # edges must NOT be followed

@@ -1,14 +1,18 @@
 """Property-based invariants (hypothesis) for the pure kernels — no Ray
 jobs per example, so hundreds of cases run in seconds."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrdf2vec_ray.functions import canon
 from pyrdf2vec_ray.literals import cast_literals
 from pyrdf2vec_ray.ops.dedup import _perm_coeffs, _shingle_hashes
-from pyrdf2vec_ray.samplers import FittedSampler, SamplerSpec
+from pyrdf2vec_ray.samplers import NameFittedSampler, SamplerSpec
 from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.synth import triples_table
 
@@ -27,30 +31,53 @@ def test_graph_index_roundtrip(triples):
     gi = GraphIndex.from_table(triples_table(sorted(uniq)))
     g = gi.local()
     assert int(g.out_deg().sum()) == len(uniq) == int(g.in_deg().sum())
+    names = g.a.names
     for s, p, o in uniq:
-        sid = g.name_to_id(s)
-        preds, objs = g.get_hops(sid)
-        names = g.a.names
+        preds, objs = g.get_hops(int(np.searchsorted(names, s)))
         assert (p, o) in {(str(names[a]), str(names[b])) for a, b in zip(preds, objs)}
+        rpreds, subs = g.get_hops(int(np.searchsorted(names, o)), True)
+        assert (p, s) in {(str(names[a]), str(names[b])) for a, b in zip(rpreds, subs)}
+
+
+@contextlib.contextmanager
+def _pandas_counts():
+    """NameFittedSampler.fit over an in-memory table: its grouped counts
+    run as pandas group-counts instead of Ray jobs (tests/test_shuffle.py
+    pins the real bucket_count/distinct kernels)."""
+    from pyrdf2vec_ray import shuffle, util
+
+    def bucket_count(t: pa.Table, cols, out):
+        df = t.to_pandas().groupby(cols, as_index=False).size()
+        return pa.Table.from_pandas(df.rename(columns={"size": out}),
+                                    preserve_index=False)
+
+    def distinct(t: pa.Table, cols):
+        return pa.Table.from_pandas(t.to_pandas()[cols].drop_duplicates(),
+                                    preserve_index=False)
+
+    with mock.patch.object(shuffle, "bucket_count", bucket_count), \
+            mock.patch.object(shuffle, "distinct", distinct), \
+            mock.patch.object(util, "to_table", lambda t: t):
+        yield
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(triple, min_size=1, max_size=40))
 def test_sampler_probabilities_valid(triples):
-    gi = GraphIndex.from_table(triples_table(sorted(set(triples))))
-    g = gi.local()
-    for kind in ("uniform", "objfreq", "predfreq", "objpredfreq", "wide"):
-        fs = FittedSampler.fit(SamplerSpec(kind=kind), g)
-        for vid in range(g.num_vertices):
-            preds, objs = g.get_hops(vid)
-            if len(preds) == 0:
-                continue
-            keep, p = fs.hop_probabilities(
-                preds.astype(np.int64), objs.astype(np.int64)
-            )
-            if len(p):
-                assert np.isclose(p.sum(), 1.0)
-                assert (p >= 0).all()
+    table = triples_table(sorted(set(triples)))
+    g = GraphIndex.from_table(table).local()
+    names = g.a.names
+    with _pandas_counts():
+        for kind in ("uniform", "objfreq", "predfreq", "objpredfreq", "wide"):
+            fs = NameFittedSampler.fit(SamplerSpec(kind=kind), lambda: table)
+            for vid in range(g.num_vertices):
+                preds, objs = g.get_hops(vid)
+                if len(preds) == 0:
+                    continue
+                keep, p = fs.hop_probabilities(names[preds], names[objs])
+                if len(p):
+                    assert np.isclose(p.sum(), 1.0)
+                    assert (p >= 0).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,6 @@ import ray.data
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.embedders import Word2Vec
 from pyrdf2vec_ray.stages.link import CandidateIndex
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -57,8 +56,8 @@ def test_sgns_refit_resets_weights():
     assert len(m._model.W) == 6
 
 
-def test_halk_empty_entities():
-    gi = GraphIndex.from_table(synth.triples_table(synth.LOOP))
+def test_halk_empty_entities(sharded_index):
+    gi = sharded_index(synth.LOOP)
     spec = WalkerSpec(strategy="halk", max_depth=2, freq_thresholds=(0.01,))
     out = to_table(extract_walks(gi, [], spec))
     assert out.num_rows == 0
@@ -79,10 +78,10 @@ def test_knn_tie_break_with_duplicate_vectors():
     assert out["neighbor_id"].to_pylist() == [0, 1, 2, 3, 4]
 
 
-def test_checkpoint_fingerprints_cover_inputs(tmp_path):
+def test_checkpoint_fingerprints_cover_inputs(tmp_path, sharded_index):
     from pyrdf2vec_ray.checkpoint import extract_walks_checkpointed
 
-    gi = GraphIndex.from_table(synth.triples_table(synth.LONG_CHAIN))
+    gi = sharded_index(synth.LONG_CHAIN)
     ents = [IRI + n for n in ["Alice", "Bob", "Mathilde", "Emma"]]
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=None,
                       md5_bytes=None)
@@ -97,8 +96,13 @@ def test_checkpoint_fingerprints_cover_inputs(tmp_path):
     ents2 = ents[:2] + [IRI + "Alfy", IRI + "Emma"]
     r3 = extract_walks_checkpointed(root, gi, ents2, spec, n_partitions=2)
     assert [r.skipped for r in r3] == [True, False]
+    # the same triples built again in another scratch dir → skipped
+    r_same = extract_walks_checkpointed(
+        root, sharded_index(synth.LONG_CHAIN), ents2, spec, n_partitions=2
+    )
+    assert [r.skipped for r in r_same] == [True, True]
     # different GRAPH, same entities → rebuild too
-    gi2 = GraphIndex.from_table(synth.triples_table(synth.LOOP))
+    gi2 = sharded_index(synth.LOOP)
     r4 = extract_walks_checkpointed(
         root, gi2, [IRI + n for n in ["Alice", "Bob"]], spec, n_partitions=1
     )

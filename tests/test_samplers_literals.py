@@ -7,26 +7,34 @@ import pytest
 
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.literals import cast_literals, get_literals, pliterals
-from pyrdf2vec_ray.samplers import FittedSampler, SamplerSpec, pagerank_scores
+from pyrdf2vec_ray.samplers import NameFittedSampler, SamplerSpec, pagerank_scores
 from pyrdf2vec_ray.state.graph_index import GraphIndex
 
 IRI = synth.IRI_PREFIX
 
 
 @pytest.fixture(scope="module")
-def graphs():
+def graphs(sharded_index):
     return (
-        GraphIndex.from_table(synth.triples_table(synth.LOOP)).local(),
-        GraphIndex.from_table(synth.triples_table(synth.LONG_CHAIN)).local(),
-        GraphIndex.from_table(synth.triples_table(synth.GRAPH)).local(),
+        sharded_index(synth.LOOP),
+        sharded_index(synth.LONG_CHAIN),
+        sharded_index(synth.GRAPH),
     )
 
 
-def hops_of(g, name, reverse=False):
-    vid = g.name_to_id(name)
-    preds, others = g.get_hops(vid, reverse)
-    names = g.a.names
-    return {(str(names[p]), str(names[o])) for p, o in zip(preds, others)}
+def csr(triples):
+    """One whole-graph CSR: vertex inventory and PageRank reference."""
+    return GraphIndex.from_table(synth.triples_table(triples)).local()
+
+
+def hops_of(gi, name, reverse=False):
+    preds, others = gi.local().get_hops(name, reverse)
+    return set(zip(preds.tolist(), others.tolist()))
+
+
+def fit(kind, gi, **kw):
+    return NameFittedSampler.fit(SamplerSpec(kind=kind, **kw),
+                                 gi.triples_dataset)
 
 
 def test_hops_forward_reverse(graphs):
@@ -41,43 +49,43 @@ def test_hops_forward_reverse(graphs):
 
 
 def test_objfreq_counts(graphs):
-    loop, chain, _ = graphs
+    loop, _, _ = graphs
     # entries = # entity vertices (frequency.py:46-81 fits every non-pred vertex)
-    assert int(loop.a.is_entity.sum()) == 3
-    assert int(chain.a.is_entity.sum()) == 9
-    fs = FittedSampler.fit(SamplerSpec(kind="objfreq"), loop)
+    assert int(csr(synth.LOOP).a.is_entity.sum()) == 3
+    assert int(csr(synth.LONG_CHAIN).a.is_entity.sum()) == 9
+    fs = fit("objfreq", loop)
     # in-degrees: Alice 1 (loves), Bob 1, Dean 2
-    d = {str(loop.a.names[i]): fs.node_w[i] for i in range(loop.num_vertices)}
+    d = dict(zip(fs.node_keys.tolist(), fs.node_w.tolist()))
     assert d[IRI + "Alice"] == 1 and d[IRI + "Bob"] == 1 and d[IRI + "Dean"] == 2
 
 
 def test_predfreq_counts(graphs):
-    loop, chain, _ = graphs
-    fs = FittedSampler.fit(SamplerSpec(kind="predfreq"), loop)
-    d = {str(loop.a.names[i]): fs.pred_w[i] for i in range(loop.num_vertices)}
+    loop, _, _ = graphs
+    fs = fit("predfreq", loop)
+    d = dict(zip(fs.pred_keys.tolist(), fs.pred_w.tolist()))
     assert d[IRI + "knows"] == 3 and d[IRI + "loves"] == 1
     # distinct predicate names: LOOP 2, LONG_CHAIN 1
-    assert int(loop.a.is_pred.sum()) == 2
-    assert int(chain.a.is_pred.sum()) == 1
+    assert int(csr(synth.LOOP).a.is_pred.sum()) == 2
+    assert int(csr(synth.LONG_CHAIN).a.is_pred.sum()) == 1
 
 
 def test_objpredfreq_counts(graphs):
     loop, chain, _ = graphs
-    fs_l = FittedSampler.fit(SamplerSpec(kind="objpredfreq"), loop)
-    fs_c = FittedSampler.fit(SamplerSpec(kind="objpredfreq"), chain)
+    fs_l = fit("objpredfreq", loop)
+    fs_c = fit("objpredfreq", chain)
     assert len(fs_l.pair_keys) == 3   # (knows,Bob),(knows,Dean),(loves,Alice)
     assert len(fs_c.pair_keys) == 8
 
 
 def test_uniform_weights(graphs):
     loop, _, _ = graphs
-    fs = FittedSampler.fit(SamplerSpec(kind="uniform"), loop)
-    w = fs.raw_weights(np.array([0, 1]), np.array([1, 2]))
-    assert (w == 1).all()
+    fs = fit("uniform", loop)
+    keep, p = fs.hop_probabilities([IRI + "knows"] * 2, [IRI + "Bob", IRI + "Dean"])
+    assert keep.tolist() == [0, 1] and (p == 0.5).all()
 
 
-def test_pagerank_bounds(graphs):
-    loop, _, _ = graphs
+def test_pagerank_bounds():
+    loop = csr(synth.LOOP)
     alpha = 0.85
     pr = pagerank_scores(loop, alpha=alpha)
     ent = pr[loop.a.is_entity]
@@ -87,14 +95,11 @@ def test_pagerank_bounds(graphs):
 
 def test_normalized_probabilities(graphs):
     loop, _, _ = graphs
+    preds, objs = loop.local().get_hops(IRI + "Alice")
     for kind in ("uniform", "objfreq", "predfreq", "objpredfreq", "pagerank", "wide"):
         for inverse in (False, True):
-            fs = FittedSampler.fit(SamplerSpec(kind=kind, inverse=inverse), loop)
-            vid = loop.name_to_id(IRI + "Alice")
-            preds, objs = loop.get_hops(vid)
-            keep, p = fs.hop_probabilities(
-                preds.astype(np.int64), objs.astype(np.int64)
-            )
+            fs = fit(kind, loop, inverse=inverse)
+            keep, p = fs.hop_probabilities(preds, objs)
             assert np.isclose(p.sum(), 1.0)
             assert (p <= 1.0 + 1e-12).all()
 
@@ -110,7 +115,7 @@ def test_cast_literals_goldens():
 
 
 def test_pliterals_chain(graphs):
-    _, _, graph = graphs
+    graph = graphs[2].local()
     chain = [IRI + "knows"]
     assert set(pliterals(graph, IRI + "Alice", chain)) == {IRI + "Bob", IRI + "Dean"}
     assert pliterals(graph, IRI + "Bob", chain) == [IRI + "Casper"]
@@ -122,7 +127,7 @@ def test_pliterals_chain(graphs):
 
 
 def test_get_literals_matrix(graphs):
-    gi = GraphIndex.from_table(synth.triples_table(synth.GRAPH))
+    gi = graphs[2]
     res = get_literals(
         gi,
         [IRI + "Alice", IRI + "Bob", IRI + "Dean"],

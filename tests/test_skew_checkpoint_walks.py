@@ -5,7 +5,6 @@ from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.checkpoint import extract_walks_checkpointed, read_run
 from pyrdf2vec_ray.pipelines.construct import materialize_adjacency
 from pyrdf2vec_ray.sources.graph_edit import from_triples
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -21,8 +20,8 @@ def hub_graph(fanout=60):
     return triples
 
 
-def test_frontier_cap_bounds_bfs_explosion():
-    gi = GraphIndex.from_table(synth.triples_table(hub_graph()))
+def test_frontier_cap_bounds_bfs_explosion(sharded_index):
+    gi = sharded_index(hub_graph())
     uncapped = WalkerSpec(strategy="random", max_depth=3, max_walks=None,
                           md5_bytes=None)
     capped = WalkerSpec(strategy="random", max_depth=3, max_walks=None,
@@ -49,8 +48,8 @@ def test_adjacency_salting_on_hub():
     assert sum(len(o) for o in hub_rows["out"]) == 30
 
 
-def test_walks_checkpoint_resume(tmp_path):
-    gi = GraphIndex.from_table(synth.triples_table(synth.LONG_CHAIN))
+def test_walks_checkpoint_resume(tmp_path, sharded_index):
+    gi = sharded_index(synth.LONG_CHAIN)
     entities = [IRI + n for n in
                 ["Alice", "Bob", "Mathilde", "Alfy", "Stephane", "Alfred"]]
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=None,

@@ -3,7 +3,6 @@ with_reverse walklets, split with_reverse, canonical function units."""
 
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.functions import canon
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -19,8 +18,8 @@ def run(gi, spec, entities=ENTITIES):
     return out
 
 
-def test_ngram_wildcards_add_variants():
-    gi = GraphIndex.from_table(synth.triples_table(synth.LOOP))
+def test_ngram_wildcards_add_variants(sharded_index):
+    gi = sharded_index(synth.LOOP)
     base = WalkerSpec(strategy="ngram", max_depth=2, grams=2)
     wild = WalkerSpec(strategy="ngram", max_depth=2, grams=2, wildcards=(1,))
     nb = run(gi, base)
@@ -31,10 +30,10 @@ def test_ngram_wildcards_add_variants():
         assert any("*" in tok for w in nw[e] for tok in w)
 
 
-def test_per_call_seed_mode_faithful():
+def test_per_call_seed_mode_faithful(sharded_index):
     # per_call: RandomState(seed) reconstructed at every hop
     # (sampler.py:173-176) → the same raw draw sequence restarts each hop
-    gi = GraphIndex.from_table(synth.triples_table(synth.LONG_CHAIN))
+    gi = sharded_index(synth.LONG_CHAIN)
     spec = WalkerSpec(
         strategy="random", max_depth=3, max_walks=4, random_state=3,
         seed_mode="per_call", md5_bytes=None,
@@ -46,8 +45,8 @@ def test_per_call_seed_mode_faithful():
     # diverges them — at minimum determinism across runs holds
 
 
-def test_walklet_with_reverse_orientation():
-    gi = GraphIndex.from_table(synth.triples_table(synth.LOOP))
+def test_walklet_with_reverse_orientation(sharded_index):
+    gi = sharded_index(synth.LOOP)
     spec = WalkerSpec(strategy="walklet", max_depth=1, max_walks=None,
                       with_reverse=True)
     out = run(gi, spec)
@@ -89,8 +88,8 @@ def test_halk_rebuild_quirk_reproduced():
     assert out == [("E", "p1", "o1", "p2", "o2", "p3", "o2")]
 
 
-def test_func_split_user_hook():
-    gi = GraphIndex.from_table(synth.triples_table(synth.LOOP))
+def test_func_split_user_hook(sharded_index):
+    gi = sharded_index(synth.LOOP)
 
     def my_split(walk, with_reverse):
         return tuple(tok.rsplit("#", 1)[-1].upper() for tok in walk)

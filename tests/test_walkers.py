@@ -5,16 +5,11 @@ import pytest
 
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.samplers import SamplerSpec
-from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.util import to_table
-from pyrdf2vec_ray.walkers import WalkerSpec, assert_exists, extract_walks
+from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
 IRI = synth.IRI_PREFIX
 ENTITIES = [IRI + n for n in ["Alice", "Bob", "Dean"]]
-
-
-def gi_for(triples):
-    return GraphIndex.from_table(synth.triples_table(triples))
 
 
 def run(gi, spec, entities=ENTITIES):
@@ -25,13 +20,9 @@ def run(gi, spec, entities=ENTITIES):
     return out
 
 
-GI_LOOP = None
-GI_CHAIN = None
-
-
 @pytest.fixture(scope="module")
-def graphs():
-    return gi_for(synth.LOOP), gi_for(synth.LONG_CHAIN)
+def graphs(sharded_index):
+    return sharded_index(synth.LOOP), sharded_index(synth.LONG_CHAIN)
 
 
 def test_bfs_exact_sets(graphs):
@@ -212,9 +203,15 @@ def test_split_sampler_drops_zero_indegree(graphs):
 
 
 def test_unknown_entity_raises(graphs):
+    """Existence (kg.is_exist) is checked in the walk task, on the
+    shard that owns the root."""
+    import ray
+
     gi_loop, _ = graphs
-    with pytest.raises(ValueError, match="Knowledge Graph"):
-        assert_exists(gi_loop, ["does", "not", "exist"])
+    spec = WalkerSpec(strategy="random", max_depth=1, max_walks=None)
+    with pytest.raises(ray.exceptions.RayTaskError,
+                       match="'does' is not in the Knowledge Graph"):
+        run(gi_loop, spec, ["does", "not", "exist"])
 
 
 def test_with_reverse_exact_sets(graphs):
