@@ -74,13 +74,10 @@ def _graph_index(sf_dir: str):
     KG (state/sharded_graph.py; no driver-side triples
     materialization), built once per sf dir."""
     if sf_dir not in _GI_CACHE:
-        import tempfile
-
         from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex
 
         _GI_CACHE[sf_dir] = ShardedGraphIndex.build(
-            _triples(sf_dir), num_shards=8,
-            scratch_dir=tempfile.mkdtemp(prefix="graft_shards_"),
+            _triples(sf_dir), num_shards=8
         )
     return _GI_CACHE[sf_dir]
 
@@ -506,13 +503,13 @@ def q_w2v_vocab(sf_dir: str):
     """Word2Vec vocabulary fit value-checked (A11, reference
     word2vec.py:29-58 build_vocab): deterministic depth-1 BFS walks
     from 200 customers feed the DISTRIBUTED vocab counter
-    (DistributedWord2Vec._vocab_from_dataset — exploded-token bucket
+    (embedders_dist.vocab_from_dataset — exploded-token bucket
     shuffle + sorted collect, the same path fit_dataset trains from);
     the resulting (token, n) table is a plain SQL grouped count over
     the walk definition."""
     import pyarrow.compute as pc
 
-    from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
+    from pyrdf2vec_ray.embedders_dist import vocab_from_dataset
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
     gi = _graph_index(sf_dir)
@@ -529,12 +526,11 @@ def q_w2v_vocab(sf_dir: str):
              "walk": pc.list_flatten(w)}
         )
 
-    m = DistributedWord2Vec(num_workers=2, num_ps=2)
-    m._vocab_from_dataset(raw.map_batches(explode_lists,
-                                          batch_format="pyarrow"))
+    vocab, counts = vocab_from_dataset(
+        raw.map_batches(explode_lists, batch_format="pyarrow"))
     return pa.table(
-        {"token": pa.array([str(t) for t in m.vocab], pa.string()),
-         "n": pa.array(m.counts.astype(np.int64), pa.int64())}
+        {"token": pa.array([str(t) for t in vocab], pa.string()),
+         "n": pa.array(counts.astype(np.int64), pa.int64())}
     )
 
 
@@ -4668,7 +4664,7 @@ def q_fasttext_dist(sf_dir: str):
     driver-held 2M×dim matrix) → vectors for fitted entities plus one
     OOV probe resolved as the mean of its bucket vectors.  Rows-only
     (distributed SGD is not SQL-expressible); the bucket algebra's
-    parity with the single-actor trainer is pinned by
+    parity with the in-process trainer is pinned by
     tests/test_distributed_w2v.py."""
     import pyarrow as _pa
 

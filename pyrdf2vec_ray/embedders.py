@@ -5,17 +5,24 @@ embedders/fasttext.py) — gensim is not available here, so training is a
 from-scratch numpy SGNS implementation with the same contract:
 
 - ``fit(walks, is_update)`` consumes the corpus (list of per-entity walk
-  lists, flattened like word2vec.py:51) with ``min_count=0`` vocabulary.
+  lists, flattened like word2vec.py:51) with ``min_count=0`` vocabulary;
+  ``is_update=True`` merges the new tokens into the vocabulary and keeps
+  the trained rows of the old ones (word2vec.py:37-52).
 - ``transform(entities)`` raises ValueError for unseen entities with the
   reference's message (word2vec.py:71-76).
-- Determinism: a single training actor + fixed seed reproduces vectors
-  exactly (the reference needs workers=1 for this, README.rst:466-498).
 
-Distribution: vocabulary counting is a Ray Data grouped count
-(SURVEY.md A11) when given a Dataset; gradient training runs in ONE Ray
-actor (the determinism contract).  The documented scale path is
-data-parallel actors around parameter servers — out of scope for
-bit-determinism, in scope for throughput when determinism is waived.
+One SGNS algorithm, two places to run it.  This module holds all of it:
+the sorted vocabulary (`build_vocab`, `merge_vocab`, `carried_rows`),
+the negative table (`neg_table`), the seeded initialisation
+(`init_rows`), the learning-rate schedule (`SGNS.schedule`), the epoch
+pair stream (`TokenCorpus.epoch_chunks`) and the mini-batched update
+(`SGNS.train_epoch` → `SGNS._chunk_update`).  `Word2Vec` and `FastText`
+run it in this process and pickle with the transformer
+(``RDF2VecTransformer.save``); `embedders_dist` runs the same stream on
+parameter-server actors.  For a fixed seed, in-process `Word2Vec`
+equals ``DistributedWord2Vec(num_workers=1, num_ps=1)`` up to the float
+rounding of the parameter server's delta round trip (pinned by
+tests/test_distributed_w2v.py).
 
 FastText subwords follow the reference exactly: IRI → split on '#' →
 whole-fragment "ngrams", pure-Python FNV-1a (unmasked, as in
@@ -30,23 +37,171 @@ import re
 import numpy as np
 
 
-def _flatten_corpus(walks) -> list[list[str]]:
-    """List[List[SWalk]] → flat corpus (word2vec.py:51)."""
-    return [list(walk) for entity_walks in walks for walk in entity_walks]
+# -- vocabulary ----------------------------------------------------------------
+
+def sentence_arrays(sentences) -> tuple[np.ndarray, np.ndarray]:
+    """Token lists → (flat object array of tokens, int64 lengths)."""
+    tokens = np.array([t for s in sentences for t in s], dtype=object)
+    lens = np.fromiter((len(s) for s in sentences), np.int64, len(sentences))
+    return tokens, lens
 
 
-def corpus_from_dataset(walks_ds) -> list[list[str]]:
-    """Collect an exploded walks Dataset (entity, walk) into a corpus for
-    the single training actor.  The corpus is the already-aggressively-
-    reduced artifact (md5 tokens / HALK filtering exist to shrink it)."""
-    out = []
-    for batch in walks_ds.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
-        out.extend(batch["walk"].to_pylist())
-    return out
+def walk_arrays(col) -> tuple[np.ndarray, np.ndarray]:
+    """An Arrow ``list<string>`` walk column → (flat tokens, lengths)."""
+    import pyarrow.compute as pc
 
+    col = col.combine_chunks()
+    lens = pc.list_value_length(col).to_numpy().astype(np.int64)
+    return pc.list_flatten(col).to_numpy(zero_copy_only=False), lens
+
+
+def build_vocab(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct tokens and their float64 occurrence counts."""
+    import pandas as pd
+
+    codes, uniq = pd.factorize(tokens, sort=True)
+    cnt = np.bincount(codes, minlength=len(uniq)) if len(uniq) else np.array([])
+    return np.asarray(uniq).astype(np.str_), cnt.astype(np.float64)
+
+
+def merge_vocab(old_vocab, old_counts, vocab, counts):
+    """build_vocab(update=True) semantics: union the token sets, sum
+    occurrence counts on overlap (reference word2vec.py:37-52)."""
+    merged = np.union1d(old_vocab, vocab).astype(np.str_)
+    out = np.zeros(len(merged), dtype=np.float64)
+    out[np.searchsorted(merged, old_vocab.astype(merged.dtype))] += old_counts
+    out[np.searchsorted(merged, vocab.astype(merged.dtype))] += counts
+    return merged, out
+
+
+def carried_rows(old_vocab: np.ndarray, vocab: np.ndarray):
+    """Warm start of an update fit: the rows of ``vocab`` whose token was
+    in ``old_vocab``, and that token's row in the old model."""
+    idx = np.searchsorted(old_vocab, vocab.astype(old_vocab.dtype))
+    idx_cl = np.clip(idx, 0, max(0, len(old_vocab) - 1))
+    hit = (idx < len(old_vocab)) & (old_vocab[idx_cl] == vocab)
+    return np.nonzero(hit)[0], idx_cl[hit].astype(np.int64)
+
+
+def lookup(vocab: np.ndarray, tokens) -> np.ndarray:
+    """Rows of ``tokens`` in the sorted ``vocab``; -1 where absent."""
+    toks = np.asarray(tokens, dtype=str)
+    if not len(vocab):
+        return np.full(len(toks), -1, np.int64)
+    idx = np.clip(np.searchsorted(vocab, toks), 0, len(vocab) - 1)
+    return np.where(vocab[idx] == toks, idx, -1).astype(np.int64)
+
+
+def token_ids(vocab: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Rows of tokens known to be in ``vocab``."""
+    return np.searchsorted(vocab, tokens.astype(vocab.dtype)).astype(np.int64)
+
+
+def neg_table(counts: np.ndarray, seed: int, size: int = 1 << 20) -> np.ndarray:
+    """Unigram^0.75 negative-sampling table."""
+    p = np.asarray(counts, dtype=np.float64) ** 0.75
+    p /= p.sum()
+    return np.random.RandomState(seed).choice(
+        len(p), size=size, p=p
+    ).astype(np.int64)
+
+
+def init_rows(n: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Initial W (uniform ±0.5/dim) and C (zeros) for ``n`` rows."""
+    rng = np.random.RandomState(seed)
+    W = (rng.rand(n, dim).astype(np.float32) - 0.5) / dim
+    # np.full, not np.zeros: lazy zero pages are PATHOLOGICAL on this
+    # class of microVM host — random-read page faults into an untouched
+    # C measured 3 ms EACH (a 16k-pair gather stalled 3-7 s, the entire
+    # epoch-0 slowdown in the bench); one eager sequential write makes
+    # every later gather ~10 ms
+    C = np.full((n, dim), 0.0, dtype=np.float32)
+    return W, C
+
+
+# -- corpus and the epoch pair stream -------------------------------------------
+
+class TokenCorpus:
+    """Sentences of token ids, kept as (ids, lengths) parts — one per
+    ingest batch, not one array per sentence (np.concatenate over 300k
+    5-element arrays alone cost seconds) — and served as one flat array.
+    Sentences under two tokens have no pairs and are dropped."""
+
+    def __init__(self):
+        self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self.n_sentences = 0
+        self._flat = None   # (ids, position in sentence, sentence length)
+
+    def add(self, ids: np.ndarray, lens: np.ndarray) -> int:
+        keep = lens > 1
+        if not keep.all():
+            ids, lens = ids[np.repeat(keep, lens)], lens[keep]
+        if len(lens):
+            self._parts.append((ids, lens))
+            self.n_sentences += len(lens)
+            self._flat = None
+        return self.n_sentences
+
+    def _arrays(self):
+        if self._flat is None:
+            lens = np.concatenate([p[1] for p in self._parts])
+            flat = np.concatenate([p[0] for p in self._parts])
+            self._parts = [(flat, lens)]
+            starts = np.r_[0, np.cumsum(lens)[:-1]]
+            self._flat = (flat, np.arange(len(flat)) - np.repeat(starts, lens),
+                          np.repeat(lens, lens))
+        return self._flat
+
+    def epoch_chunks(self, seed: int, epoch: int, window: int, negative: int,
+                     table: np.ndarray):
+        """Generator of deterministic (centers, ctxs, negs) pair chunks.
+
+        The expansion is vectorized over the CONCATENATED corpus (one
+        offset-grid mask per chunk instead of a Python loop per
+        sentence), and — critically for this microVM host — EVERY
+        temporary stays bounded (~10-20 MB): first-touch page faults
+        into fresh large mmaps cost 0.5-3 ms/page here, so one corpus-
+        sized negatives buffer (190 MB at 1.5M tokens) alone burned ~25 s
+        per epoch before this streaming form (measured; see BASELINE.md).
+        Small buffers stay under glibc's adaptive mmap threshold and get
+        reused across chunks.
+
+        Determinism: a fresh RandomState(seed + epoch), consumed in
+        fixed per-chunk order (gensim-style reduced windows, then that
+        chunk's negatives); chunk boundaries are a constant, so the
+        stream is reproducible run-to-run."""
+        if not self._parts:
+            return
+        rng = np.random.RandomState(seed + epoch)
+        flat, pos, slen = self._arrays()
+        T = len(flat)
+        offs = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+        CH = 1 << 17
+        for lo in range(0, T, CH):
+            hi = min(T, lo + CH)
+            reduced = rng.randint(0, window, size=hi - lo)
+            w = window - reduced
+            grid = pos[lo:hi, None] + offs[None, :]
+            valid = (
+                (np.abs(offs)[None, :] <= w[:, None])
+                & (grid >= 0) & (grid < slen[lo:hi, None])
+            )
+            m_per = valid.sum(1)
+            centers = np.repeat(flat[lo:hi], m_per)
+            ctxs = flat[(np.arange(lo, hi)[:, None] + offs[None, :])[valid]]
+            if not len(ctxs):
+                continue
+            negs = table[
+                rng.randint(0, len(table), size=len(ctxs) * negative)
+            ].reshape(len(ctxs), negative)
+            yield centers, ctxs, negs
+
+
+# -- training ------------------------------------------------------------------
 
 class SGNS:
-    """Minimal deterministic skip-gram negative-sampling trainer."""
+    """Skip-gram negative-sampling hyper-parameters, the W/C matrices
+    and the vocabulary they are indexed by."""
 
     def __init__(self, vector_size=100, window=5, epochs=10, negative=5,
                  alpha=0.025, min_alpha=0.0001, seed=42, min_count=0):
@@ -58,120 +213,56 @@ class SGNS:
         self.min_alpha = min_alpha
         self.seed = seed
         self.min_count = min_count
-        self.key_to_index: dict[str, int] = {}
-        self.counts: list[int] = []
+        self.vocab = np.array([], dtype=np.str_)   # sorted tokens = rows
+        self.counts = np.array([], dtype=np.float64)
         self.W: np.ndarray | None = None     # input vectors (the embeddings)
         self.C: np.ndarray | None = None     # output vectors
 
-    # -- vocab ---------------------------------------------------------------
+    def schedule(self) -> list[float]:
+        """Per-epoch learning rate, decayed linearly over the epochs."""
+        total = max(1, self.epochs)
+        return [max(self.min_alpha, self.alpha * (1 - e / total))
+                for e in range(total)]
 
-    def build_vocab(self, corpus: list[list[str]], update: bool = False):
-        if not update:
-            # a non-update build starts a FRESH model: discard any trained
-            # matrices so a second fit() doesn't map the new vocabulary onto
-            # stale vectors (gensim, which the reference wraps, re-inits
-            # weights on build_vocab(update=False) too)
-            self.key_to_index, self.counts = {}, []
-            self.W, self.C = None, None
-        for sent in corpus:
-            for tok in sent:
-                idx = self.key_to_index.get(tok)
-                if idx is None:
-                    self.key_to_index[tok] = len(self.counts)
-                    self.counts.append(1)
-                else:
-                    self.counts[idx] += 1
-        n = len(self.counts)
-        rng = np.random.RandomState(self.seed)
-        if self.W is None:
-            self.W = (rng.rand(n, self.vector_size).astype(np.float32) - 0.5) / self.vector_size
-            # np.full (eager touch), not np.zeros: random gathers into
-            # lazy zero pages fault at ~3 ms/page on this host class —
-            # see embedders_dist.ParamShard.__init__
-            self.C = np.full((n, self.vector_size), 0.0, dtype=np.float32)
-        elif n > len(self.W):
-            extra = n - len(self.W)
-            grow = (rng.rand(extra, self.vector_size).astype(np.float32) - 0.5) / self.vector_size
-            self.W = np.vstack([self.W, grow])
-            self.C = np.vstack([self.C, np.zeros((extra, self.vector_size), np.float32)])
-
-    def _neg_table(self, size: int = 1 << 20) -> np.ndarray:
-        p = np.asarray(self.counts, dtype=np.float64) ** 0.75
-        p /= p.sum()
-        return np.random.RandomState(self.seed).choice(
-            len(p), size=size, p=p
-        ).astype(np.int64)
-
-    # -- training ------------------------------------------------------------
-
-    def train(self, corpus: list[list[str]]):
-        """Mini-batched SGNS: (center, context) pairs are generated per
-        sentence with gensim-style reduced windows, buffered to ~16k pairs,
-        and applied as one vectorized scatter-add update per buffer.  Fixed
-        iteration order + seeded RNG → bit-deterministic."""
-        if not corpus or not self.counts:
+    def fit(self, tokens: np.ndarray, lens: np.ndarray, update: bool = False):
+        """Train on sentences given as flat tokens + lengths.  A non-update
+        fit starts a FRESH model (gensim, which the reference wraps,
+        re-inits weights on build_vocab(update=False) too); an update fit
+        merges vocabularies and carries the trained rows over."""
+        vocab, counts = build_vocab(tokens)
+        warm = update and self.W is not None
+        if warm:
+            vocab, counts = merge_vocab(self.vocab, self.counts, vocab, counts)
+        # seeds of parameter shard 0 and trainer 0 in embedders_dist
+        W, C = init_rows(len(vocab), self.vector_size, self.seed + 7000)
+        if warm:
+            rows, old_rows = carried_rows(self.vocab, vocab)
+            W[rows], C[rows] = self.W[old_rows], self.C[old_rows]
+        self.vocab, self.counts, self.W, self.C = vocab, counts, W, C
+        corpus = TokenCorpus()
+        if not corpus.add(token_ids(vocab, tokens), lens):
             return
-        sents = [
-            np.fromiter((self.key_to_index[t] for t in s), np.int64, len(s))
-            for s in corpus
-            if len(s) > 0
-        ]
-        neg_table = self._neg_table()
-        rng = np.random.RandomState(self.seed + 1)
-        total_steps = max(1, self.epochs * len(sents))
-        step = 0
-        k = self.negative
-        buf_c: list[np.ndarray] = []
-        buf_x: list[np.ndarray] = []
-        buf_lr: list[np.ndarray] = []
-        buffered = 0
+        table = neg_table(counts, self.seed)
+        for epoch, lr in enumerate(self.schedule()):
+            self.train_epoch(corpus, self.seed + 1000, epoch, lr, table)
 
-        def flush():
-            nonlocal buffered
-            if not buffered:
-                return
-            centers = np.concatenate(buf_c)
-            ctxs = np.concatenate(buf_x)
-            lrs = np.concatenate(buf_lr)
-            negs = neg_table[
-                rng.randint(0, len(neg_table), size=len(ctxs) * k)
-            ].reshape(len(ctxs), k)
-            self._chunk_update(centers, ctxs, negs, lrs)
-            buf_c.clear(), buf_x.clear(), buf_lr.clear()
-            buffered = 0
-
-        # window expansion is one (n × 2·window) offset-grid mask per
-        # sentence — pairs come out in the same (center asc, offset asc)
-        # order a nested loop would produce, with no per-position loop
-        offs = np.concatenate(
-            [np.arange(-self.window, 0), np.arange(1, self.window + 1)]
-        )
-        for _ in range(self.epochs):
-            for ids in sents:
-                lr = max(self.min_alpha, self.alpha * (1 - step / total_steps))
-                step += 1
-                n = len(ids)
-                if n < 2:
-                    continue
-                reduced = rng.randint(0, self.window, size=n)
-                w = self.window - reduced                      # per-token window
-                grid = np.arange(n)[:, None] + offs[None, :]
-                valid = (
-                    (np.abs(offs)[None, :] <= w[:, None])
-                    & (grid >= 0) & (grid < n)
+    def train_epoch(self, corpus: TokenCorpus, seed: int, epoch: int,
+                    lr: float, table: np.ndarray, remap=None):
+        """One epoch of the pair stream, applied in 16k-pair sub-chunks.
+        ``remap`` maps corpus ids to rows of W/C (the parameter-server
+        trainer's compact copy of the rows it touches)."""
+        B = 16384
+        for centers, ctxs, negs in corpus.epoch_chunks(
+            seed, epoch, self.window, self.negative, table
+        ):
+            if remap is not None:
+                centers, ctxs, negs = remap[centers], remap[ctxs], remap[negs]
+            for i in range(0, len(ctxs), B):
+                sl = slice(i, i + B)
+                self._chunk_update(
+                    centers[sl], ctxs[sl], negs[sl],
+                    np.full(min(B, len(ctxs) - i), lr, np.float32),
                 )
-                m_per = valid.sum(1)
-                total_m = int(m_per.sum())
-                if not total_m:
-                    continue
-                c_arr = np.repeat(ids, m_per)
-                buf_c.append(c_arr)
-                buf_x.append(ids[grid[valid]])
-                buf_lr.append(np.full(total_m, lr, dtype=np.float32))
-                buffered += total_m
-                if buffered >= 16384:
-                    flush()
-        flush()
 
     @staticmethod
     def _scatter_add(M: np.ndarray, rows: np.ndarray, vals: np.ndarray):
@@ -216,12 +307,6 @@ class SGNS:
             C, negs_flat, g_neg.reshape(-1, 1) * np.repeat(v, k, axis=0)
         )
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.key_to_index
-
-    def get_vector(self, token: str) -> np.ndarray:
-        return self.W[self.key_to_index[token]]
-
 
 class Word2Vec:
     """Reference-shaped embedder (embedders/word2vec.py)."""
@@ -231,29 +316,31 @@ class Word2Vec:
         self._model = SGNS(**self.kwargs)
 
     def fit(self, walks: list[list[list[str]]], is_update: bool = False) -> "Word2Vec":
-        corpus = _flatten_corpus(walks)
-        self._model.build_vocab(corpus, update=is_update)
-        self._model.train(corpus)
-        return self
+        return self._fit(*sentence_arrays([w for ew in walks for w in ew]),
+                         is_update)
 
     def fit_dataset(self, walks_ds, is_update: bool = False) -> "Word2Vec":
         """Train from an exploded walks Dataset (entity, walk): the corpus
-        streams off the object store into the trainer.  The vocabulary and
-        training run single-process for the determinism contract; for
-        throughput-scalable training over a Dataset use
+        streams off the object store into this process.  For training
+        whose parameters outgrow one process use
         `embedders_dist.DistributedWord2Vec` (parameter-server actors)."""
-        corpus = corpus_from_dataset(walks_ds)
-        self._model.build_vocab(corpus, update=is_update)
-        self._model.train(corpus)
+        parts = [walk_arrays(b["walk"]) for b in walks_ds.iter_batches(
+            batch_size=1 << 16, batch_format="pyarrow")] or [sentence_arrays([])]
+        return self._fit(np.concatenate([p[0] for p in parts]),
+                         np.concatenate([p[1] for p in parts]), is_update)
+
+    def _fit(self, tokens: np.ndarray, lens: np.ndarray, is_update: bool):
+        self._model.fit(tokens, lens, update=is_update)
         return self
 
     def transform(self, entities: list[str]) -> list[np.ndarray]:
-        if not all(e in self._model for e in entities):
+        ids = lookup(self._model.vocab, entities)
+        if (ids < 0).any():
             raise ValueError(
                 "The entities must have been provided to fit() first "
                 "before they can be transformed into a numerical vector."
             )
-        return [self._model.get_vector(e) for e in entities]
+        return [self._model.W[i] for i in ids]
 
 
 def compute_ngrams_bytes(entity: str, minn: int = 0, maxn: int = 0) -> list[bytes]:
@@ -273,16 +360,28 @@ def ft_hash_bytes(bytez: bytes) -> int:
     return h
 
 
-class FastText:
+def mean_of_buckets(hashes: list[int], bucket_vecs: dict, dim: int) -> np.ndarray:
+    """FastText OOV vector (fasttext.py:130-156): the mean of the bucket
+    vectors its ngrams hit; zeros when none does."""
+    vec = np.zeros(dim, dtype=np.float32)
+    hits = 0
+    for h in hashes:
+        if h in bucket_vecs:
+            vec += bucket_vecs[h]
+            hits += 1
+    return vec / hits if hits else vec
+
+
+class FastText(Word2Vec):
     """FastText variant: SGNS word vectors + ngram-bucket vectors; the
-    bucket vector of a hash is learned as the mean of the word vectors
-    whose subwords hash to it; OOV lookup = mean of bucket vectors
-    (fasttext.py:130-156)."""
+    bucket vector of a hash is the mean of the word vectors whose
+    subwords hash to it, summed in sorted-token order like
+    `embedders_dist.DistributedFastText`; OOV lookup = mean of bucket
+    vectors (fasttext.py:130-156)."""
 
     def __init__(self, bucket: int = 2_000_000, func_computing_ngrams=None, **kwargs):
         kwargs.setdefault("vector_size", 500)
-        self.kwargs = {"min_count": 0, **kwargs}
-        self._model = SGNS(**self.kwargs)
+        super().__init__(**kwargs)
         self.bucket = bucket
         self.func_computing_ngrams = func_computing_ngrams or compute_ngrams_bytes
         self._bucket_vecs: dict[int, np.ndarray] = {}
@@ -293,36 +392,28 @@ class FastText:
             for n in self.func_computing_ngrams(entity, 0, 0)
         ]
 
-    def fit(self, walks, is_update: bool = False) -> "FastText":
-        corpus = _flatten_corpus(walks)
-        self._model.build_vocab(corpus, update=is_update)
-        self._model.train(corpus)
-        # bucket vectors from trained word vectors
-        sums: dict[int, np.ndarray] = {}
-        counts: dict[int, int] = {}
-        for tok, idx in self._model.key_to_index.items():
-            for h in self.ft_ngram_hashes(tok):
-                if h in sums:
-                    sums[h] += self._model.W[idx]
-                    counts[h] += 1
-                else:
-                    sums[h] = self._model.W[idx].copy()
-                    counts[h] = 1
-        self._bucket_vecs = {h: sums[h] / counts[h] for h in sums}
+    def _fit_buckets(self):
+        rows: dict[int, list[int]] = {}
+        for i, tok in enumerate(self._model.vocab):
+            for h in self.ft_ngram_hashes(str(tok)):
+                rows.setdefault(h, []).append(i)
+        W = self._model.W
+        self._bucket_vecs = {
+            h: (W[r].sum(axis=0) / len(r)).astype(np.float32)
+            for h, r in rows.items()
+        }
+
+    def _fit(self, tokens: np.ndarray, lens: np.ndarray, is_update: bool):
+        super()._fit(tokens, lens, is_update)
+        self._fit_buckets()
         return self
 
     def get_vector(self, entity: str) -> np.ndarray:
-        if entity in self._model:
-            return self._model.get_vector(entity)
-        hashes = self.ft_ngram_hashes(entity)
-        dim = self._model.vector_size
-        vec = np.zeros(dim, dtype=np.float32)
-        hits = 0
-        for h in hashes:
-            if h in self._bucket_vecs:
-                vec += self._bucket_vecs[h]
-                hits += 1
-        return vec / hits if hits else vec
+        i = lookup(self._model.vocab, [entity])[0]
+        if i >= 0:
+            return self._model.W[i]
+        return mean_of_buckets(self.ft_ngram_hashes(entity), self._bucket_vecs,
+                               self._model.vector_size)
 
     def transform(self, entities: list[str]) -> list[np.ndarray]:
         return [self.get_vector(e) for e in entities]

@@ -17,23 +17,22 @@ actor every epoch — neither survives corpus- or vocab-scale):
   (``Dataset.split`` — object-store refs, never a driver list).  Each
   trainer tokenizes its shard once (searchsorted against the broadcast
   vocab) in its own heap.
-- **Epoch** = trainers precompute their (deterministic, seeded) window
-  and negative draws, PULL only the parameter rows they will touch from
-  the owning shards, run vectorized SGNS locally, and return SPARSE
+- **Epoch** = each trainer runs the epoch pair stream of
+  `embedders.TokenCorpus` twice: once to flag the parameter rows it
+  will touch, which it PULLS from the owning shards, and once to train
+  them locally with `embedders.SGNS.train_epoch`.  It returns SPARSE
   per-shard deltas; the driver forwards the delta refs (no driver
   deserialization) and every shard applies them in fixed trainer order,
   scaled 1/num_workers.  Synchronous + ordered ⇒ runs are deterministic
-  for a fixed (seed, num_workers, num_ps) — bit-parity with the
-  single-actor trainer is NOT a goal (the reference has the same caveat
-  for gensim workers>1, README.rst:466-498).
+  for a fixed (seed, num_workers, num_ps).
 
-Per-epoch window expansion is vectorized over the concatenated corpus
-in ~1M-token chunks (no per-sentence Python loop); the draw buffers are
-O(pairs × (2 + negative)) int64 for the epoch — for shards whose PAIR
-set outgrows the heap, chunk epochs by sentence range.
-
-For bit-reproducible vectors use the single-actor `embedders.Word2Vec`
-(the reference's workers=1 contract).
+The vocabulary, negative table, initialisation, seeds and learning-rate
+schedule are those of `embedders`, so ``DistributedWord2Vec(
+num_workers=1, num_ps=1)`` equals the in-process `embedders.Word2Vec`
+up to the float rounding of the delta round trip (W0 + (W1 − W0)).
+More workers split the corpus and average their deltas, which changes
+the vectors (the reference has the same caveat for gensim workers>1,
+README.rst:466-498).
 """
 
 from __future__ import annotations
@@ -42,7 +41,23 @@ import numpy as np
 
 import ray
 
-from pyrdf2vec_ray.embedders import SGNS
+from pyrdf2vec_ray.embedders import (
+    SGNS,
+    FastText,
+    TokenCorpus,
+    build_vocab,
+    carried_rows,
+    compute_ngrams_bytes,
+    ft_hash_bytes,
+    init_rows,
+    lookup,
+    mean_of_buckets,
+    merge_vocab,
+    neg_table,
+    sentence_arrays,
+    token_ids,
+    walk_arrays,
+)
 
 
 @ray.remote
@@ -50,15 +65,8 @@ class ParamShard:
     """Owns rows [lo, hi) of W and C."""
 
     def __init__(self, lo: int, hi: int, dim: int, seed: int):
-        rng = np.random.RandomState(seed)
         self.lo = lo
-        self.W = (rng.rand(hi - lo, dim).astype(np.float32) - 0.5) / dim
-        # np.full, not np.zeros: lazy zero pages are PATHOLOGICAL on
-        # this class of microVM host — random-read page faults into an
-        # untouched C measured 3 ms EACH (a 16k-pair gather stalled
-        # 3-7 s, the entire epoch-0 slowdown in the bench); one eager
-        # sequential write makes every later gather ~10 ms
-        self.C = np.full((hi - lo, dim), 0.0, dtype=np.float32)
+        self.W, self.C = init_rows(hi - lo, dim, seed)
 
     def pull(self, global_ids: np.ndarray):
         ids = np.asarray(global_ids, dtype=np.int64) - self.lo
@@ -93,12 +101,7 @@ class ParamShard:
         shard's rows for tokens that existed in the previous model by
         pulling them from the OLD shard actors — parameters move
         shard→shard through the object store, never via the driver."""
-        my_vocab = np.asarray(my_vocab)
-        idx = np.searchsorted(old_vocab, my_vocab.astype(old_vocab.dtype))
-        idx_cl = np.clip(idx, 0, max(0, len(old_vocab) - 1))
-        hit = (idx < len(old_vocab)) & (old_vocab[idx_cl] == my_vocab)
-        gids = idx_cl[hit].astype(np.int64)
-        local_rows = np.nonzero(hit)[0]
+        local_rows, gids = carried_rows(old_vocab, np.asarray(my_vocab))
         for s, (lo, hi) in enumerate(old_bounds):
             m = (gids >= lo) & (gids < hi)
             if not m.any():
@@ -106,7 +109,7 @@ class ParamShard:
             Ws, Cs = ray.get(old_ps[s].pull.remote(gids[m]))
             self.W[local_rows[m]] = Ws
             self.C[local_rows[m]] = Cs
-        return int(hit.sum())
+        return len(gids)
 
     def arrow_rows(self, names: np.ndarray):
         """This shard's (token, vector) rows as one Arrow table — the
@@ -122,16 +125,37 @@ class ParamShard:
 
     def write_parquet(self, path: str, names: np.ndarray) -> int:
         """Resumable per-shard embeddings sink: this shard's rows only."""
-        import pyarrow as pa
         import pyarrow.parquet as pq
 
-        t = pa.table(
-            {"entity": pa.array([str(n) for n in names], pa.string()),
-             "vector": pa.array([r.tolist() for r in self.W],
-                                pa.list_(pa.float32()))}
+        pq.write_table(
+            self.arrow_rows(names).rename_columns(["entity", "vector"]), path
         )
-        pq.write_table(t, path)
         return len(names)
+
+
+def vocab_from_dataset(walks_ds) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted vocabulary + counts of an exploded walks Dataset by a
+    distributed token count (one bucket shuffle); only the vocabulary
+    reaches the driver."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from pyrdf2vec_ray.shuffle import bucket_count
+    from pyrdf2vec_ray.util import to_table
+
+    def tokens(batch: pa.Table) -> pa.Table:
+        return pa.table({"token": pc.list_flatten(batch["walk"].combine_chunks())})
+
+    t = to_table(
+        bucket_count(
+            walks_ds.map_batches(tokens, batch_format="pyarrow"),
+            ["token"], "n",
+        )
+    )
+    names = np.asarray(t["token"].to_numpy(zero_copy_only=False)).astype(np.str_)
+    cnt = t["n"].to_numpy().astype(np.float64)
+    order = np.argsort(names)
+    return names[order], cnt[order]
 
 
 def _shard_bounds(vocab_size: int, num_ps: int) -> list[tuple[int, int]]:
@@ -151,124 +175,34 @@ class PSTrainer:
         self.cfg = cfg
         self.seed = seed
         self.bounds = bounds
-        # corpus stored as (token_ids, sentence_lengths) pairs, one per
-        # ingest batch — thousands of small arrays, not one per sentence
-        # (np.concatenate over 300k 5-element arrays alone cost seconds)
-        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._n_sents = 0
+        self.corpus = TokenCorpus()
         self.neg_table = None
-        self._flat = None  # cached concatenated corpus (built lazily)
 
     def add_sentences(self, walks: list[list[str]]):
-        kept = [w for w in walks if len(w) > 1]
-        if kept:
-            flat = np.concatenate([np.asarray(w, dtype=self.vocab.dtype)
-                                   for w in kept])
-            ids = np.searchsorted(self.vocab, flat).astype(np.int64)
-            lens = np.fromiter((len(w) for w in kept), np.int64, len(kept))
-            self._chunks.append((ids, lens))
-            self._n_sents += len(kept)
-        self._flat = None
-        return self._n_sents
+        tokens, lens = sentence_arrays(walks)
+        return self.corpus.add(token_ids(self.vocab, tokens), lens)
 
     def add_dataset_split(self, split_ds):
-        import pyarrow.compute as pc
-
         for batch in split_ds.iter_batches(batch_format="pyarrow",
                                            batch_size=1 << 14):
-            col = batch["walk"].combine_chunks()
-            lens = pc.list_value_length(col).to_numpy().astype(np.int64)
-            flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
-            keep = lens > 1
-            if not keep.all():
-                flat = flat[np.repeat(keep, lens)]
-                lens = lens[keep]
-            if len(lens):
-                ids = np.searchsorted(
-                    self.vocab, flat.astype(self.vocab.dtype)
-                ).astype(np.int64)
-                self._chunks.append((ids, lens))
-                self._n_sents += len(lens)
-        self._flat = None
-        return self._n_sents
+            tokens, lens = walk_arrays(batch["walk"])
+            self.corpus.add(token_ids(self.vocab, tokens), lens)
+        return self.corpus.n_sentences
 
     def set_neg_table(self, table):
         self.neg_table = table
 
-    def _ensure_flat(self) -> bool:
-        if self._flat is not None:
-            return True
-        if not self._chunks:
-            return False
-        ids_parts = [c[0] for c in self._chunks]
-        len_parts = [c[1] for c in self._chunks]
-        lens = np.concatenate(len_parts) if len_parts else np.array([], np.int64)
-        if not len(lens):
-            return False
-        starts = np.r_[0, np.cumsum(lens)[:-1]]
-        self._flat = np.concatenate(ids_parts)
-        self._pos = np.arange(len(self._flat)) - np.repeat(starts, lens)
-        self._slen = np.repeat(lens, lens)
-        return True
-
-    def _epoch_chunks(self, epoch: int):
-        """Generator of deterministic (centers, ctxs, negs) pair chunks.
-
-        The expansion is vectorized over the CONCATENATED corpus (one
-        offset-grid mask per chunk instead of a Python loop per
-        sentence), and — critically for this microVM host — EVERY
-        temporary stays bounded (~10-20 MB): first-touch page faults
-        into fresh large mmaps cost 0.5-3 ms/page here, so one corpus-
-        sized negatives buffer (190 MB at 1.5M tokens) alone burned ~25 s
-        per epoch before this streaming form (measured; see BASELINE.md).
-        Small buffers stay under glibc's adaptive mmap threshold and get
-        reused across chunks.
-
-        Determinism: a fresh RandomState(seed + epoch), consumed in
-        fixed per-chunk order (reduced windows, then that chunk's
-        negatives); chunk boundaries are a constant, so the stream is
-        reproducible run-to-run at any parallelism."""
-        cfg = SGNS(**self.cfg)
-        rng = np.random.RandomState(self.seed + epoch)
-        window, k = cfg.window, cfg.negative
-        if not self._ensure_flat():
-            return
-        flat, pos, slen = self._flat, self._pos, self._slen
-        T = len(flat)
-        offs = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
-        CH = 1 << 17
-        for lo in range(0, T, CH):
-            hi = min(T, lo + CH)
-            reduced = rng.randint(0, window, size=hi - lo)
-            w = window - reduced
-            grid = pos[lo:hi, None] + offs[None, :]
-            valid = (
-                (np.abs(offs)[None, :] <= w[:, None])
-                & (grid >= 0) & (grid < slen[lo:hi, None])
-            )
-            m_per = valid.sum(1)
-            centers = np.repeat(flat[lo:hi], m_per)
-            ctxs = flat[(np.arange(lo, hi)[:, None] + offs[None, :])[valid]]
-            if not len(ctxs):
-                continue
-            negs = self.neg_table[
-                rng.randint(0, len(self.neg_table), size=len(ctxs) * k)
-            ].reshape(len(ctxs), k)
-            yield centers, ctxs, negs
-
     def train_epoch(self, epoch: int, lr: float, ps_handles: list):
-        import os as _os
-        import time as _time
-
-        _dbg = bool(_os.environ.get("W2V_DEBUG_TIMING"))
-        _t0 = _time.perf_counter()
+        model = SGNS(**self.cfg)
         # pass 1: touched-row flags only — the pair stream is REPLAYED in
         # pass 2 (expansion is ~0.3 s/1.5M tokens warm; rebuilding beats
-        # holding corpus-scale pair buffers, see _epoch_chunks)
+        # holding corpus-scale pair buffers, see TokenCorpus.epoch_chunks)
         V = len(self.vocab)
         flag = np.zeros(V, dtype=bool)
         n_pairs = 0
-        for centers, ctxs, negs in self._epoch_chunks(epoch):
+        for centers, ctxs, negs in self.corpus.epoch_chunks(
+            self.seed, epoch, model.window, model.negative, self.neg_table
+        ):
             flag[centers] = True
             flag[ctxs] = True
             flag[negs.ravel()] = True
@@ -276,10 +210,6 @@ class PSTrainer:
         if not n_pairs:
             return None
         used = np.flatnonzero(flag)
-        if _dbg:
-            print(f"[w2v e{epoch}] draws {_time.perf_counter() - _t0:.2f}s "
-                  f"pairs={n_pairs}")
-            _t0 = _time.perf_counter()
 
         # pull only the touched rows, from the owning shards, in parallel
         by_shard = []
@@ -290,7 +220,7 @@ class PSTrainer:
             ps_handles[s].pull.remote(ids_s)
             for s, ids_s in enumerate(by_shard)
         ])
-        dim = self.cfg.get("vector_size", 100)
+        dim = model.vector_size
         W_local = np.zeros((len(used), dim), dtype=np.float32)
         C_local = np.zeros((len(used), dim), dtype=np.float32)
         offset = 0
@@ -300,32 +230,15 @@ class PSTrainer:
             offset += len(ids_s)
         # `used` is sorted and by_shard concatenation preserves that order
         W0, C0 = W_local.copy(), C_local.copy()
-        if _dbg:
-            print(f"[w2v e{epoch}] pull {_time.perf_counter() - _t0:.2f}s "
-                  f"touched={len(used)}")
-            _t0 = _time.perf_counter()
 
-        # pass 2: replay the pair stream, remap global ids → local compact
-        # ids per chunk, run the shared math in 16k-pair sub-chunks
-        model = SGNS(**self.cfg)
+        # pass 2: replay the pair stream on the compact local rows
         model.W, model.C = W_local, C_local
         inv = np.empty(V, dtype=np.int64)
         inv[used] = np.arange(len(used))
-        B = 16384
-        for centers, ctxs, negs in self._epoch_chunks(epoch):
-            c_l = inv[centers]
-            x_l = inv[ctxs]
-            n_l = inv[negs.ravel()].reshape(negs.shape)
-            for i in range(0, len(c_l), B):
-                sl = slice(i, i + B)
-                model._chunk_update(
-                    c_l[sl], x_l[sl], n_l[sl],
-                    np.full(min(B, len(c_l) - i), lr, np.float32),
-                )
+        model.train_epoch(self.corpus, self.seed, epoch, lr, self.neg_table,
+                          remap=inv)
 
         dW, dC = model.W - W0, model.C - C0
-        if _dbg:
-            print(f"[w2v e{epoch}] sgns {_time.perf_counter() - _t0:.2f}s")
         out = {"ids": {}}
         offset = 0
         for s, ids_s in enumerate(by_shard):
@@ -340,88 +253,26 @@ class DistributedWord2Vec:
     """API-compatible with embedders.Word2Vec; trains on trainer actors
     against vocab-sharded parameter servers."""
 
-    def __init__(self, num_workers: int = 4, num_ps: int = 2,
-                 staleness: int = 0, **kwargs):
-        """``staleness`` (round 5, VERDICT r4 item 8): maximum number of
-        OUTSTANDING delta-apply rounds.  0 (default) = the synchronous,
-        deterministic-per-config schedule.  K >= 1 = bounded-staleness
-        SCALE MODE: epoch e+1's trainers start pulling while epoch e's
-        applies may still be landing shard-by-shard, so pulls can see a
-        mix of pre-/post-epoch rows (at most K epochs behind).  Hides
-        the per-epoch all-trainer barrier on real clusters at the
-        documented cost of run-to-run NON-determinism (SCALE.md);
-        convergence under staleness is pinned by pytest."""
+    def __init__(self, num_workers: int = 4, num_ps: int = 2, **kwargs):
         self.num_workers = num_workers
         self.num_ps = num_ps
-        self.staleness = int(staleness)
         self.kwargs = {"min_count": 0, **kwargs}
         self._cfg = SGNS(**self.kwargs)
         self.vocab: np.ndarray | None = None      # sorted token array
         self.counts: np.ndarray | None = None
-        self._vectors: dict[str, np.ndarray] = {}
         self._ps: list | None = None
 
-    # -- vocab ---------------------------------------------------------------
-
-    def _vocab_from_sentences(self, sentences: list[list[str]]):
-        toks = np.concatenate(
-            [np.asarray(s, dtype=object) for s in sentences if s]
-        ) if sentences else np.array([], dtype=object)
-        import pandas as pd
-
-        codes, uniq = pd.factorize(toks, sort=True)
-        cnt = np.bincount(codes, minlength=len(uniq)) if len(uniq) else np.array([])
-        self.vocab = np.asarray(uniq).astype(np.str_)
-        self.counts = cnt.astype(np.float64)
-
-    def _vocab_from_dataset(self, walks_ds):
-        """Distributed token count (one bucket shuffle), vocab-scale
-        collect only."""
-        import pyarrow as pa
-
-        from pyrdf2vec_ray.shuffle import bucket_count
-        from pyrdf2vec_ray.util import to_table
-
-        def tokens(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.table({"token": pc.list_flatten(batch["walk"].combine_chunks())})
-
-        t = to_table(
-            bucket_count(
-                walks_ds.map_batches(tokens, batch_format="pyarrow"),
-                ["token"], "n",
-            )
-        )
-        names = np.asarray(t["token"].to_numpy(zero_copy_only=False)).astype(np.str_)
-        cnt = t["n"].to_numpy().astype(np.float64)
-        order = np.argsort(names)
-        self.vocab, self.counts = names[order], cnt[order]
-
-    def _neg_table(self, size: int = 1 << 20) -> np.ndarray:
-        p = self.counts ** 0.75
-        p /= p.sum()
-        return np.random.RandomState(self._cfg.seed).choice(
-            len(p), size=size, p=p
-        ).astype(np.int64)
-
-    # -- online update (is_update=True) --------------------------------------
-
-    def _warm_state(self):
-        """Snapshot of the fitted model for an incremental re-fit, or
-        None when nothing was trained yet (first fit)."""
-        if self._ps is None or self.vocab is None:
-            return None
-        return (self._ps, self._bounds, self.vocab, self.counts)
-
-    def _merge_vocab(self, old_vocab: np.ndarray, old_counts: np.ndarray):
-        """build_vocab(update=True) semantics: union the token sets, sum
-        occurrence counts on overlap (reference word2vec.py:37-52)."""
-        merged = np.union1d(old_vocab, self.vocab).astype(np.str_)
-        counts = np.zeros(len(merged), dtype=np.float64)
-        counts[np.searchsorted(merged, old_vocab.astype(merged.dtype))] += old_counts
-        counts[np.searchsorted(merged, self.vocab.astype(merged.dtype))] += self.counts
-        self.vocab, self.counts = merged, counts
+    def _set_vocab(self, vocab: np.ndarray, counts: np.ndarray,
+                   is_update: bool):
+        """Install a counted vocabulary.  An update re-fit of a trained
+        model merges it into the old one and returns the old model's
+        (shards, bounds, vocab) for the warm start; otherwise None."""
+        warm = None
+        if is_update and self._ps is not None:
+            warm = (self._ps, self._bounds, self.vocab)
+            vocab, counts = merge_vocab(self.vocab, self.counts, vocab, counts)
+        self.vocab, self.counts = vocab, counts
+        return warm
 
     # -- training ------------------------------------------------------------
 
@@ -434,7 +285,7 @@ class DistributedWord2Vec:
             for i, (lo, hi) in enumerate(bounds)
         ]
         if warm is not None:
-            old_ps, old_bounds, old_vocab, _ = warm
+            old_ps, old_bounds, old_vocab = warm
             old_vocab_ref = ray.put(old_vocab)
             ray.get([
                 p.warm_init.remote(old_ps, old_bounds, old_vocab_ref,
@@ -450,14 +301,11 @@ class DistributedWord2Vec:
             for i in range(self.num_workers)
         ]
         feed_trainers(trainers)
-        neg_ref = ray.put(self._neg_table())
+        neg_ref = ray.put(neg_table(self.counts, cfg.seed))
         ray.get([t.set_neg_table.remote(neg_ref) for t in trainers])
 
-        total = max(1, cfg.epochs)
         scale = 1.0 / self.num_workers
-        pending: list[list] = []   # bounded-staleness apply windows
-        for epoch in range(total):
-            lr = max(cfg.min_alpha, cfg.alpha * (1 - epoch / total))
+        for epoch, lr in enumerate(cfg.schedule()):
             delta_refs = [
                 t.train_epoch.remote(epoch, lr, ps) for t in trainers
             ]
@@ -469,24 +317,9 @@ class DistributedWord2Vec:
                      fetch_local=False)
             # forward the REFS to every shard (nested refs stay unresolved
             # — the driver never deserializes a delta)
-            applies = [
+            ray.get([
                 p.apply.remote(s, delta_refs, scale) for s, p in enumerate(ps)
-            ]
-            if self.staleness <= 0:
-                # synchronous default: deterministic per config
-                ray.get(applies)
-            else:
-                # bounded staleness: keep at most K apply rounds in
-                # flight; epoch e+1's pulls queue per PS actor behind
-                # whatever applies have reached it (actor tasks are
-                # serial per actor — no deadlock, at most K epochs of
-                # skew).  Non-deterministic by design: documented scale
-                # mode.
-                pending.append(applies)
-                while len(pending) > self.staleness:
-                    ray.get(pending.pop(0))
-        for applies in pending:
-            ray.get(applies)
+            ])
         for t in trainers:
             ray.kill(t)
         self._ps = ps
@@ -496,11 +329,9 @@ class DistributedWord2Vec:
         """List-of-walks API (reference embedder contract).  With
         ``is_update=True`` after a prior fit, old vocabulary rows
         warm-start the new shards (reference word2vec.py:37-52)."""
-        warm = self._warm_state() if is_update else None
         sentences = [list(w) for ew in walks for w in ew]
-        self._vocab_from_sentences(sentences)
-        if warm is not None:
-            self._merge_vocab(warm[2], warm[3])
+        warm = self._set_vocab(*build_vocab(sentence_arrays(sentences)[0]),
+                               is_update)
 
         def feed(trainers):
             shards = [sentences[i :: self.num_workers]
@@ -515,10 +346,7 @@ class DistributedWord2Vec:
     def fit_dataset(self, walks_ds, is_update: bool = False) -> "DistributedWord2Vec":
         """Dataset API: the corpus never lands on the driver — vocab by
         grouped count, block splits feed the trainers directly."""
-        warm = self._warm_state() if is_update else None
-        self._vocab_from_dataset(walks_ds)
-        if warm is not None:
-            self._merge_vocab(warm[2], warm[3])
+        warm = self._set_vocab(*vocab_from_dataset(walks_ds), is_update)
         # equal=True would silently DROP rows when the corpus size is not
         # divisible by num_workers; trainers tolerate uneven shards.
         splits = walks_ds.split(self.num_workers, equal=False)
@@ -535,29 +363,22 @@ class DistributedWord2Vec:
     # -- output --------------------------------------------------------------
 
     def _pull_vectors(self, entities: list[str]) -> list[np.ndarray]:
-        ids = np.searchsorted(self.vocab, np.asarray(entities, dtype=self.vocab.dtype))
-        out: dict[int, np.ndarray] = {}
-        per_shard: dict[int, list[int]] = {}
-        for gid in ids:
-            s = next(
-                i for i, (lo, hi) in enumerate(self._bounds) if lo <= gid < hi
-            )
-            per_shard.setdefault(s, []).append(int(gid))
-        rows = ray.get([
-            self._ps[s].rows.remote(np.asarray(gids))
-            for s, gids in per_shard.items()
-        ])
-        for (s, gids), mat in zip(per_shard.items(), rows):
-            for gid, row in zip(gids, mat):
-                out[gid] = row
-        return [out[int(g)] for g in ids]
+        ids = lookup(self.vocab, entities)
+        shard = np.searchsorted([hi for _, hi in self._bounds], ids,
+                                side="right")
+        owners = np.unique(shard)
+        rows = ray.get([self._ps[s].rows.remote(ids[shard == s])
+                        for s in owners])
+        out = np.empty((len(ids), self._cfg.vector_size), dtype=np.float32)
+        for s, mat in zip(owners, rows):
+            out[shard == s] = mat
+        return list(out)
 
     def __contains__(self, token: str) -> bool:
-        i = int(np.searchsorted(self.vocab, token))
-        return i < len(self.vocab) and self.vocab[i] == token
+        return self.vocab is not None and lookup(self.vocab, [token])[0] >= 0
 
     def transform(self, entities: list[str]) -> list[np.ndarray]:
-        if self.vocab is None or not all(e in self for e in entities):
+        if self.vocab is None or (lookup(self.vocab, entities) < 0).any():
             raise ValueError(
                 "The entities must have been provided to fit() first "
                 "before they can be transformed into a numerical vector."
@@ -594,31 +415,20 @@ class DistributedFastText(DistributedWord2Vec):
     row per (bucket, vector), and ONE bucket shuffle reduces the means,
     so the 2M-bucket × dim matrix never lives on any single process.
     Group rows are summed in sorted-token order, so bucket vectors are
-    deterministic under any partitioning (pairwise float32 summation —
-    agrees with the single-actor accumulation to float tolerance, pinned
-    by tests/test_distributed_w2v.py).  OOV ``transform`` pulls ONLY the
-    buckets the requested entities hash to (a filter over the bucket
-    Dataset, bounded by #entities × ngrams)."""
+    deterministic under any partitioning (pairwise float32 summation,
+    the same sum `embedders.FastText` takes in process).  OOV
+    ``transform`` pulls ONLY the buckets the requested entities hash to
+    (a filter over the bucket Dataset, bounded by #entities × ngrams)."""
 
     def __init__(self, bucket: int = 2_000_000, func_computing_ngrams=None,
-                 num_workers: int = 4, num_ps: int = 2, staleness: int = 0,
-                 **kwargs):
+                 num_workers: int = 4, num_ps: int = 2, **kwargs):
         kwargs.setdefault("vector_size", 500)
-        super().__init__(num_workers=num_workers, num_ps=num_ps,
-                         staleness=staleness, **kwargs)
+        super().__init__(num_workers=num_workers, num_ps=num_ps, **kwargs)
         self.bucket = bucket
-        from pyrdf2vec_ray.embedders import compute_ngrams_bytes
-
         self.func_computing_ngrams = func_computing_ngrams or compute_ngrams_bytes
         self._bucket_ds = None
 
-    def ft_ngram_hashes(self, entity: str) -> list[int]:
-        from pyrdf2vec_ray.embedders import ft_hash_bytes
-
-        return [
-            ft_hash_bytes(n) % self.bucket
-            for n in self.func_computing_ngrams(entity, 0, 0)
-        ]
+    ft_ngram_hashes = FastText.ft_ngram_hashes
 
     # -- bucket matrix --------------------------------------------------------
 
@@ -641,7 +451,6 @@ class DistributedFastText(DistributedWord2Vec):
 
         B = self.bucket
         fn_ngrams = self.func_computing_ngrams
-        from pyrdf2vec_ray.embedders import ft_hash_bytes
 
         def fanout(batch: pa.Table) -> pa.Table:
             toks = batch["token"].to_pylist()
@@ -733,16 +542,8 @@ class DistributedFastText(DistributedWord2Vec):
             {h for e in oov for h in self.ft_ngram_hashes(e)}
         ) if oov else {}
         dim = self._cfg.vector_size
-        out = []
-        for e in entities:
-            if e in pulled:
-                out.append(pulled[e])
-                continue
-            vec = np.zeros(dim, dtype=np.float32)
-            hits = 0
-            for h in self.ft_ngram_hashes(e):
-                if h in bucket_vecs:
-                    vec += bucket_vecs[h]
-                    hits += 1
-            out.append(vec / hits if hits else vec)
-        return out
+        return [
+            pulled[e] if e in pulled
+            else mean_of_buckets(self.ft_ngram_hashes(e), bucket_vecs, dim)
+            for e in entities
+        ]

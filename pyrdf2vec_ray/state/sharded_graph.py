@@ -33,6 +33,8 @@ worker (walker.py:187-195) and cannot exceed one machine.
 
 from __future__ import annotations
 
+import shutil
+import weakref
 import zlib
 
 import numpy as np
@@ -115,6 +117,11 @@ class ShardedGraphIndex:
         num_shards: int = 8,
         scratch_dir: str | None = None,
     ) -> "ShardedGraphIndex":
+        """Shuffle-by-write the triples into ``num_shards`` forward and
+        reverse parquet partitions under ``scratch_dir`` and build each
+        shard's CSR in a worker.  With no ``scratch_dir`` the partitions
+        go to a fresh temp dir that is removed when the index is
+        collected; a caller's dir is never removed."""
         import tempfile
 
         root = scratch_dir or tempfile.mkdtemp(prefix="sharded_graph_")
@@ -150,7 +157,10 @@ class ShardedGraphIndex:
         ]
         # wait for completion (refs stay in the object store; no driver copy)
         ray.wait(fwd_refs + rev_refs, num_returns=2 * num_shards, fetch_local=False)
-        return ShardedGraphIndex(fwd_refs, rev_refs, num_shards, root)
+        index = ShardedGraphIndex(fwd_refs, rev_refs, num_shards, root)
+        if not scratch_dir:
+            weakref.finalize(index, shutil.rmtree, root, True)
+        return index
 
     def triples_dataset(self) -> "ray.data.Dataset":
         """The forward-partitioned parquet re-read as a Dataset (used for

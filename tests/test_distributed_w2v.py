@@ -1,10 +1,17 @@
 """Distributed (parameter-server) Word2Vec: determinism across runs,
-shape/compat with the single-actor trainer, transformer integration."""
+equality with the in-process trainer at one worker and one shard,
+vectors pinned byte for byte, transformer integration."""
+
+import hashlib
 
 import numpy as np
+import pyarrow as pa
+import pytest
+import ray.data
 
 from pyrdf2vec_ray import synth
-from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
+from pyrdf2vec_ray.embedders import FastText, Word2Vec
+from pyrdf2vec_ray.embedders_dist import DistributedFastText, DistributedWord2Vec
 from pyrdf2vec_ray.pipelines.rdf2vec import RDF2VecTransformer
 from pyrdf2vec_ray.walkers import WalkerSpec
 
@@ -12,6 +19,16 @@ CORPUS = [
     [["a", "p", "b"], ["a", "q", "c"], ["b", "p", "c"]],
     [["c", "r", "a"], ["c", "p", "b"], ["b", "q", "a"]],
 ] * 4
+UPDATE = [[["c", "s", "d"], ["d", "p", "a", "q", "b"]]] * 3
+OOV = ["http://x#a", "http://y#d#q"]
+
+
+def _walks_ds(corpus):
+    walks = [w for ew in corpus for w in ew]
+    return ray.data.from_arrow(
+        pa.table({"entity": pa.array([w[0] for w in walks], pa.string()),
+                  "walk": pa.array(walks, pa.list_(pa.string()))})
+    )
 
 
 def test_distributed_deterministic():
@@ -68,7 +85,7 @@ def test_transform_unknown_raises():
 
 def test_distributed_fasttext_buckets_and_oov():
     """DistributedFastText (PS path): the distributed bucket reduce must
-    agree with the single-actor accumulation (fasttext.py:130-156 —
+    agree with the in-process accumulation (fasttext.py:130-156 —
     bucket vector = mean of word vectors whose subwords hash to it)
     computed from the SAME trained matrix, and OOV transform = mean of
     its ngram-bucket vectors."""
@@ -81,7 +98,7 @@ def test_distributed_fasttext_buckets_and_oov():
     toks = [str(t) for t in m.vocab]
     word_vecs = dict(zip(toks, m._pull_vectors(toks)))
 
-    # single-actor bucket algebra over the same word matrix
+    # in-process bucket algebra over the same word matrix
     sums, counts = {}, {}
     for t in toks:
         for n in compute_ngrams_bytes(t, 0, 0):
@@ -126,51 +143,113 @@ def test_distributed_fasttext_deterministic():
         assert np.array_equal(x, y)
 
 
-def test_bounded_staleness_converges_and_default_sync():
-    """staleness=K (round 5 scale mode): training completes with up to
-    K apply rounds in flight, the deltas DO land (context matrix moves
-    off its zero init), and the run converges to the same SGNS
-    objective neighborhood as the synchronous deterministic schedule —
-    the meaningful convergence statement for an async mode.
-    staleness=0 stays the default and bit-deterministic."""
-    import numpy as np
-    import ray as _ray
+def _assert_same_vectors(inproc, ps, probes):
+    got = np.stack(inproc.transform(probes))
+    want = np.stack(ps.transform(probes))
+    # the PS applies W0 + (W1 - W0): equal up to that float rounding
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=0)
 
-    from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
 
-    def pull_WC(m):
-        toks = [str(t) for t in m.vocab]
-        W = np.stack(m._pull_vectors(toks))
-        C = np.zeros_like(W)
-        for (lo, hi), p in zip(m._bounds, m._ps):
-            _, c = _ray.get(p.pull.remote(np.arange(lo, hi)))
-            C[lo:hi] = c
-        return toks, W, C
+def test_word2vec_equals_one_worker_one_ps():
+    """In-process Word2Vec runs the parameter-server trainer's vocabulary,
+    seeds, schedule and pair stream: fit, an is_update refit and
+    fit_dataset all equal DistributedWord2Vec(num_workers=1, num_ps=1)."""
+    kw = dict(vector_size=16, epochs=3, seed=5)
+    a = Word2Vec(**kw).fit(CORPUS)
+    b = DistributedWord2Vec(num_workers=1, num_ps=1, **kw).fit(CORPUS)
+    _assert_same_vectors(a, b, list(b.vocab))
+    assert np.array_equal(a._model.vocab, b.vocab)
+    a.fit(UPDATE, is_update=True)
+    b.fit(UPDATE, is_update=True)
+    _assert_same_vectors(a, b, list(b.vocab))
+    assert np.array_equal(a._model.vocab, b.vocab)
 
-    def sgns_score(m):
-        toks, W, C = pull_WC(m)
-        ids = {t: i for i, t in enumerate(toks)}
-        scores = [W[ids[a]] @ C[ids[b]]
-                  for ew in CORPUS for w in ew for a, b in zip(w, w[1:])]
-        return float(np.mean(1.0 / (1.0 + np.exp(-np.asarray(scores)))))
+    a = Word2Vec(**kw).fit_dataset(_walks_ds(CORPUS))
+    b = DistributedWord2Vec(num_workers=1, num_ps=1, **kw) \
+        .fit_dataset(_walks_ds(CORPUS))
+    _assert_same_vectors(a, b, list(b.vocab))
 
-    cfg = dict(num_workers=2, num_ps=2, vector_size=16, epochs=6, seed=11)
-    m_sync = DistributedWord2Vec(staleness=0, **cfg).fit(CORPUS)
-    m_stale = DistributedWord2Vec(staleness=2, **cfg).fit(CORPUS)
-    assert m_stale.staleness == 2
 
-    _, _, C_st = pull_WC(m_stale)
-    assert np.abs(C_st).sum() > 0          # deltas applied, not dropped
-    assert np.isfinite(C_st).all()
-    s_sync, s_stale = sgns_score(m_sync), sgns_score(m_stale)
-    # async schedule lands in the same objective neighborhood as the
-    # deterministic one (measured gap ~1e-3 on this corpus)
-    assert abs(s_sync - s_stale) < 0.05, (s_sync, s_stale)
+def test_fasttext_equals_one_worker_one_ps():
+    """Same for FastText, fit and fit_dataset: in-vocab word vectors and
+    OOV bucket means."""
+    kw = dict(bucket=997, vector_size=16, epochs=3, seed=5)
+    a = FastText(**kw).fit(CORPUS)
+    b = DistributedFastText(num_workers=1, num_ps=1, **kw).fit(CORPUS)
+    _assert_same_vectors(a, b, list(b.vocab) + OOV)
+    assert np.abs(a.get_vector(OOV[1])).sum() > 0   # a bucket was hit
 
-    # default stays synchronous and deterministic
-    a = DistributedWord2Vec(num_workers=2, vector_size=8, epochs=2, seed=6)
-    assert a.staleness == 0
-    va = a.fit(CORPUS).transform(["a", "b"])
-    vb = DistributedWord2Vec(num_workers=2, vector_size=8, epochs=2,
-                             seed=6).fit(CORPUS).transform(["a", "b"])
-    assert all(np.array_equal(x, y) for x, y in zip(va, vb))
+    a = FastText(**kw).fit_dataset(_walks_ds(CORPUS))
+    b = DistributedFastText(num_workers=1, num_ps=1, **kw) \
+        .fit_dataset(_walks_ds(CORPUS))
+    _assert_same_vectors(a, b, list(b.vocab) + OOV)
+
+
+# sha256[:16] of the float32 vectors (sorted vocab, then OOV for FastText)
+# after fit(CORPUS), then fit(UPDATE, is_update=True), and after a fresh
+# fit_dataset(CORPUS); vector_size=8, epochs=3, seed=5, bucket=997.
+# Recorded before the in-process trainer adopted the PS epoch stream:
+# the parameter-server arithmetic is unchanged byte for byte.
+PS_DIGESTS = {
+    ("DistributedWord2Vec", 1, 1):
+        ("931c3f15a1b47dd5", "033564a8b8b1ee6d", "931c3f15a1b47dd5"),
+    ("DistributedWord2Vec", 2, 2):
+        ("a73d6b1414485804", "9f55782b3c521685", "b3636e1f5a7f77d8"),
+    ("DistributedFastText", 1, 1):
+        ("991b2f16753b2cd1", "53843fd3cb444d65", "991b2f16753b2cd1"),
+    ("DistributedFastText", 2, 2):
+        ("8b4e72abc99dfd53", "4b48c0149f860cef", "0faf0328fbe8aec8"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PS_DIGESTS),
+                         ids=lambda k: f"{k[0]}-{k[1]}x{k[2]}")
+def test_ps_vectors_pinned(key):
+    name, nw, nps = key
+    cls = {"DistributedWord2Vec": DistributedWord2Vec,
+           "DistributedFastText": DistributedFastText}[name]
+    kw = dict(num_workers=nw, num_ps=nps, vector_size=8, epochs=3, seed=5)
+    if cls is DistributedFastText:
+        kw["bucket"] = 997
+
+    def digest(m):
+        probes = [str(t) for t in m.vocab]
+        if cls is DistributedFastText:
+            probes += OOV
+        M = np.stack(m.transform(probes)).astype(np.float32)
+        return hashlib.sha256(M.tobytes()).hexdigest()[:16]
+
+    m = cls(**kw).fit(CORPUS)
+    got = (digest(m), digest(m.fit(UPDATE, is_update=True)),
+           digest(cls(**kw).fit_dataset(_walks_ds(CORPUS))))
+    assert got == PS_DIGESTS[key]
+
+
+def test_distributed_w2v_is_update_warm_start():
+    corpus_a = [[["a", "b", "c", "d"]] * 6] * 4
+    corpus_b = [[["c", "d", "e", "f"]] * 6] * 4
+    m = DistributedWord2Vec(num_workers=2, num_ps=2, vector_size=8,
+                            epochs=2, seed=3)
+    m.fit(corpus_a)
+    before = {t: v.copy() for t, v in zip(["a", "b", "c", "d"],
+                                          m._pull_vectors(["a", "b", "c", "d"]))}
+    m.fit(corpus_b, is_update=True)
+    # vocab merged: old + new tokens all present
+    assert set(m.vocab.tolist()) == {"a", "b", "c", "d", "e", "f"}
+    after_a = m._pull_vectors(["a"])[0]
+    # 'a' is absent from corpus_b → untouched by the update epochs, so it
+    # must equal its previously trained vector (warm start, not re-init)
+    assert np.allclose(after_a, before["a"])
+    # fresh (non-update) re-fit drops the old vocabulary
+    m.fit(corpus_b, is_update=False)
+    assert set(m.vocab.tolist()) == {"c", "d", "e", "f"}
+
+
+def test_distributed_w2v_dataset_split_keeps_all_rows():
+    # 7 walks across 3 workers: equal=True would silently drop rows
+    walks = [{"entity": f"e{i}", "walk": ["a", "b", "c"]} for i in range(7)]
+    ds = ray.data.from_items(walks)
+    m = DistributedWord2Vec(num_workers=3, num_ps=2, vector_size=4,
+                            epochs=1, seed=1)
+    m.fit_dataset(ds)
+    assert set(m.vocab.tolist()) == {"a", "b", "c"}

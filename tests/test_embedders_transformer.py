@@ -34,6 +34,22 @@ def test_word2vec_determinism():
     assert not np.array_equal(va[0], va[1])
 
 
+def test_sgns_refit_resets_weights():
+    corpus_a = [[["a", "b", "c", "d"]] * 4] * 3
+    corpus_b = [[["x", "y"]] * 4] * 3
+    m = Word2Vec(vector_size=8, epochs=1, seed=3)
+    m.fit(corpus_a)
+    assert len(m._model.W) == 4
+    # non-update re-fit: fresh vocab AND fresh weights (not the old matrix
+    # trained for different tokens)
+    m.fit(corpus_b, is_update=False)
+    assert set(m._model.vocab.tolist()) == {"x", "y"}
+    assert len(m._model.W) == 2
+    # update re-fit still grows
+    m.fit(corpus_a, is_update=True)
+    assert len(m._model.W) == 6
+
+
 def test_word2vec_unseen_raises():
     w2v = Word2Vec(vector_size=8, epochs=1).fit(CORPUS)
     with pytest.raises(ValueError, match="must have been provided to fit"):
@@ -198,3 +214,19 @@ def test_chunk_update_matches_naive_scatter():
 
     np.testing.assert_allclose(m.W, Wn, rtol=0, atol=1e-6)
     np.testing.assert_allclose(m.C, Cn, rtol=0, atol=1e-6)
+
+
+def test_scatter_add_non_contiguous_matrix():
+    """Fortran-ordered (or otherwise non-C-contiguous) weight matrices
+    must still receive updates — reshape(-1) on them is a COPY and the
+    fast path would silently discard every gradient."""
+    from pyrdf2vec_ray.embedders import SGNS
+
+    rows = np.array([0, 2, 2], dtype=np.int64)
+    vals = np.ones((3, 4), dtype=np.float32)
+    want = np.zeros((3, 4), np.float32)
+    np.add.at(want, rows, vals)
+    for order in ("C", "F"):
+        M = np.zeros((3, 4), np.float32, order=order)
+        SGNS._scatter_add(M, rows, vals)
+        assert np.array_equal(M, want), order

@@ -1,5 +1,5 @@
-"""Round-2 fixes: stable shard routing, SGNS re-fit reset, HALK empty
-guard, knn tie-break determinism, checkpoint input fingerprints."""
+"""Round-2 fixes: stable shard routing, HALK empty guard, knn tie-break
+determinism, checkpoint input fingerprints."""
 
 import subprocess
 import sys
@@ -10,7 +10,6 @@ import pyarrow as pa
 import ray.data
 
 from pyrdf2vec_ray import synth
-from pyrdf2vec_ray.embedders import Word2Vec
 from pyrdf2vec_ray.stages.link import CandidateIndex
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
@@ -38,22 +37,6 @@ def test_shard_routing_stable_across_hashseed():
         )
         outs.add(r.stdout.strip())
     assert outs == {repr(ours)}
-
-
-def test_sgns_refit_resets_weights():
-    corpus_a = [[["a", "b", "c", "d"]] * 4] * 3
-    corpus_b = [[["x", "y"]] * 4] * 3
-    m = Word2Vec(vector_size=8, epochs=1, seed=3)
-    m.fit(corpus_a)
-    assert len(m._model.W) == 4
-    # non-update re-fit: fresh vocab AND fresh weights (not the old matrix
-    # trained for different tokens)
-    m.fit(corpus_b, is_update=False)
-    assert set(m._model.key_to_index) == {"x", "y"}
-    assert len(m._model.W) == 2
-    # update re-fit still grows
-    m.fit(corpus_a, is_update=True)
-    assert len(m._model.W) == 6
 
 
 def test_halk_empty_entities(sharded_index):

@@ -1,5 +1,5 @@
-"""Round-3 fixes: Turtle escape/tokenizer correctness, distributed-W2V
-online update (is_update warm start), uneven corpus splits."""
+"""Round-3 fixes: Turtle escape/tokenizer correctness, vectorized LPA,
+bundle fetch concurrency, sink gates, candidate fusion, pair packing."""
 
 import numpy as np
 
@@ -41,42 +41,6 @@ def test_turtle_glued_statement_dot():
     # dots INSIDE a pname local part are preserved
     trips2 = parse_turtle("@prefix ex: <http://e/> . ex:a.b ex:p ex:c .")
     assert ("http://e/a.b", "http://e/p", "http://e/c") in trips2
-
-
-def test_distributed_w2v_is_update_warm_start():
-    from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
-
-    corpus_a = [[["a", "b", "c", "d"]] * 6] * 4
-    corpus_b = [[["c", "d", "e", "f"]] * 6] * 4
-    m = DistributedWord2Vec(num_workers=2, num_ps=2, vector_size=8,
-                            epochs=2, seed=3)
-    m.fit(corpus_a)
-    before = {t: v.copy() for t, v in zip(["a", "b", "c", "d"],
-                                          m._pull_vectors(["a", "b", "c", "d"]))}
-    m.fit(corpus_b, is_update=True)
-    # vocab merged: old + new tokens all present
-    assert set(m.vocab.tolist()) == {"a", "b", "c", "d", "e", "f"}
-    after_a = m._pull_vectors(["a"])[0]
-    # 'a' is absent from corpus_b → untouched by the update epochs, so it
-    # must equal its previously trained vector (warm start, not re-init)
-    assert np.allclose(after_a, before["a"])
-    # fresh (non-update) re-fit drops the old vocabulary
-    m.fit(corpus_b, is_update=False)
-    assert set(m.vocab.tolist()) == {"c", "d", "e", "f"}
-
-
-def test_distributed_w2v_dataset_split_keeps_all_rows():
-    import ray.data
-
-    from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
-
-    # 7 walks across 3 workers: equal=True would silently drop rows
-    walks = [{"entity": f"e{i}", "walk": ["a", "b", "c"]} for i in range(7)]
-    ds = ray.data.from_items(walks)
-    m = DistributedWord2Vec(num_workers=3, num_ps=2, vector_size=4,
-                            epochs=1, seed=1)
-    m.fit_dataset(ds)
-    assert set(m.vocab.tolist()) == {"a", "b", "c"}
 
 
 def _lpa_reference(u, v, nv, max_sweeps=20):

@@ -49,22 +49,6 @@ def test_nquads_blank_nodes_not_dropped():
     ]
 
 
-def test_scatter_add_non_contiguous_matrix():
-    """Fortran-ordered (or otherwise non-C-contiguous) weight matrices
-    must still receive updates — reshape(-1) on them is a COPY and the
-    fast path would silently discard every gradient."""
-    from pyrdf2vec_ray.embedders import SGNS
-
-    rows = np.array([0, 2, 2], dtype=np.int64)
-    vals = np.ones((3, 4), dtype=np.float32)
-    want = np.zeros((3, 4), np.float32)
-    np.add.at(want, rows, vals)
-    for order in ("C", "F"):
-        M = np.zeros((3, 4), np.float32, order=order)
-        SGNS._scatter_add(M, rows, vals)
-        assert np.array_equal(M, want), order
-
-
 def test_centroid_sample_independent_of_batching(ray_session):
     """The IVF centroid sample must be the exact global bottom-k by
     hash — identical regardless of block layout."""

@@ -106,6 +106,27 @@ def test_build_without_driver_materialization(tmp_path, monkeypatch):
     assert {str(o) for o in objs} == {IRI + "Bob", IRI + "Dean"}
 
 
+def test_build_temp_dir_removed_with_index(tmp_path):
+    """With no scratch_dir the build owns its temp dir and removes it
+    when the index is collected; a caller's scratch_dir is left alone."""
+    import gc
+    import os
+
+    ds = ray.data.from_arrow(synth.triples_table(synth.LOOP))
+    sh = ShardedGraphIndex.build(ds, num_shards=1)
+    root = sh.parquet_root
+    assert os.path.isdir(f"{root}/fwd")
+    del sh
+    gc.collect()
+    assert not os.path.exists(root)
+
+    given = tmp_path / "given"
+    sh = ShardedGraphIndex.build(ds, num_shards=1, scratch_dir=str(given))
+    del sh
+    gc.collect()
+    assert os.path.isdir(given / "fwd")
+
+
 def test_contains_routing(pair):
     for sh in pair:
         g = sh.local()
