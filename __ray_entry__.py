@@ -502,14 +502,15 @@ def q_pagerank_iter1(sf_dir: str):
 def q_w2v_vocab(sf_dir: str):
     """Word2Vec vocabulary fit value-checked (A11, reference
     word2vec.py:29-58 build_vocab): deterministic depth-1 BFS walks
-    from 200 customers feed the DISTRIBUTED vocab counter
-    (embedders_dist.vocab_from_dataset — exploded-token bucket
-    shuffle + sorted collect, the same path fit_dataset trains from);
-    the resulting (token, n) table is a plain SQL grouped count over
-    the walk definition."""
+    from 200 customers feed `DistributedWord2Vec.fit_dataset` with two
+    trainers; the model's vocabulary is the count its epochs train from
+    (one `embedders_dist.count_walks` task per trainer factorizes that
+    split's blocks, the driver merges the partials).  The resulting
+    (token, n) table is a plain SQL grouped count over the walk
+    definition."""
     import pyarrow.compute as pc
 
-    from pyrdf2vec_ray.embedders_dist import vocab_from_dataset
+    from pyrdf2vec_ray.embedders_dist import DistributedWord2Vec
     from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
     gi = _graph_index(sf_dir)
@@ -526,11 +527,12 @@ def q_w2v_vocab(sf_dir: str):
              "walk": pc.list_flatten(w)}
         )
 
-    vocab, counts = vocab_from_dataset(
+    model = DistributedWord2Vec(num_workers=2, num_ps=1, vector_size=4,
+                                epochs=1).fit_dataset(
         raw.map_batches(explode_lists, batch_format="pyarrow"))
     return pa.table(
-        {"token": pa.array([str(t) for t in vocab], pa.string()),
-         "n": pa.array(counts.astype(np.int64), pa.int64())}
+        {"token": pa.array([str(t) for t in model.vocab], pa.string()),
+         "n": pa.array(model.counts.astype(np.int64), pa.int64())}
     )
 
 

@@ -55,13 +55,15 @@ def walk_arrays(col) -> tuple[np.ndarray, np.ndarray]:
     return pc.list_flatten(col).to_numpy(zero_copy_only=False), lens
 
 
-def build_vocab(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct tokens and their float64 occurrence counts."""
+def build_vocab(tokens: np.ndarray):
+    """Sorted distinct tokens, their float64 occurrence counts and each
+    token's row in that vocabulary (int64 codes)."""
     import pandas as pd
 
     codes, uniq = pd.factorize(tokens, sort=True)
     cnt = np.bincount(codes, minlength=len(uniq)) if len(uniq) else np.array([])
-    return np.asarray(uniq).astype(np.str_), cnt.astype(np.float64)
+    return (np.asarray(uniq).astype(np.str_), cnt.astype(np.float64),
+            codes.astype(np.int64))
 
 
 def merge_vocab(old_vocab, old_counts, vocab, counts):
@@ -229,10 +231,11 @@ class SGNS:
         fit starts a FRESH model (gensim, which the reference wraps,
         re-inits weights on build_vocab(update=False) too); an update fit
         merges vocabularies and carries the trained rows over."""
-        vocab, counts = build_vocab(tokens)
+        local, counts, codes = build_vocab(tokens)
+        vocab = local
         warm = update and self.W is not None
         if warm:
-            vocab, counts = merge_vocab(self.vocab, self.counts, vocab, counts)
+            vocab, counts = merge_vocab(self.vocab, self.counts, local, counts)
         # seeds of parameter shard 0 and trainer 0 in embedders_dist
         W, C = init_rows(len(vocab), self.vector_size, self.seed + 7000)
         if warm:
@@ -240,7 +243,7 @@ class SGNS:
             W[rows], C[rows] = self.W[old_rows], self.C[old_rows]
         self.vocab, self.counts, self.W, self.C = vocab, counts, W, C
         corpus = TokenCorpus()
-        if not corpus.add(token_ids(vocab, tokens), lens):
+        if not corpus.add(token_ids(vocab, local)[codes], lens):
             return
         table = neg_table(counts, self.seed)
         for epoch, lr in enumerate(self.schedule()):

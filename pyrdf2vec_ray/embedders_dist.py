@@ -6,25 +6,33 @@ Topology (the round-1 version was driver-averaged synchronous SGD with
 the FULL corpus on the driver and FULL W/C matrices shipped to every
 actor every epoch — neither survives corpus- or vocab-scale):
 
-- **Vocabulary** is a grouped count over the exploded walks Dataset
-  (SURVEY.md A11, one bucket shuffle); the sorted token array + counts
-  are the only vocab-scale driver state (= the model's key index, which
-  any embedder API must hold anyway).
+- **Corpus** is split block-wise across ``num_workers`` trainer actors
+  (``Dataset.split``).  Split i's Arrow block refs (object-store refs,
+  never a driver list) go to one `count_walks` task, which reads them
+  once: one sorted factorize gives both the split's token codes and its
+  partial vocabulary.  It runs in a pooled worker while the actor
+  processes start; trainers receive int64 codes and never run Ray Data.
+- **Vocabulary**: the driver receives at most ``num_workers`` partial
+  vocabularies (sorted tokens + counts) and folds them with
+  `embedders.merge_vocab`; there is no vocabulary exchange.  The sorted
+  token array + counts are the only vocab-scale driver state (= the
+  model's key index, which any embedder API must hold anyway).  Each
+  trainer gets the vocabulary, the shard bounds and the negative table
+  in one message and remaps its codes with one searchsorted over its
+  partial vocabulary.
 - **Parameters** live on ``num_ps`` ParamShard actors, each owning a
   contiguous row range of W and C.  No actor ever holds the full
-  matrices.
-- **Corpus** is split block-wise across ``num_workers`` trainer actors
-  (``Dataset.split`` — object-store refs, never a driver list).  Each
-  trainer tokenizes its shard once (searchsorted against the broadcast
-  vocab) in its own heap.
+  matrices.  They are created with the trainers, so both start while
+  the corpus is counted, and get their rows once the bounds are known.
 - **Epoch** = each trainer runs the epoch pair stream of
   `embedders.TokenCorpus` twice: once to flag the parameter rows it
   will touch, which it PULLS from the owning shards, and once to train
-  them locally with `embedders.SGNS.train_epoch`.  It returns SPARSE
-  per-shard deltas; the driver forwards the delta refs (no driver
-  deserialization) and every shard applies them in fixed trainer order,
-  scaled 1/num_workers.  Synchronous + ordered ⇒ runs are deterministic
-  for a fixed (seed, num_workers, num_ps).
+  them locally with `embedders.SGNS.train_epoch`.  It returns one
+  SPARSE delta object per parameter shard; the driver forwards shard
+  s only its own refs (no driver deserialization) and every shard
+  applies them in fixed trainer order, scaled 1/num_workers.
+  Synchronous + ordered ⇒ runs are deterministic for a fixed (seed,
+  num_workers, num_ps).
 
 The vocabulary, negative table, initialisation, seeds and learning-rate
 schedule are those of `embedders`, so ``DistributedWord2Vec(
@@ -38,6 +46,7 @@ README.rst:466-498).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 import ray
 
@@ -62,9 +71,9 @@ from pyrdf2vec_ray.embedders import (
 
 @ray.remote
 class ParamShard:
-    """Owns rows [lo, hi) of W and C."""
+    """Owns rows [lo, hi) of W and C once `init` has run."""
 
-    def __init__(self, lo: int, hi: int, dim: int, seed: int):
+    def init(self, lo: int, hi: int, dim: int, seed: int):
         self.lo = lo
         self.W, self.C = init_rows(hi - lo, dim, seed)
 
@@ -72,20 +81,17 @@ class ParamShard:
         ids = np.asarray(global_ids, dtype=np.int64) - self.lo
         return self.W[ids], self.C[ids]
 
-    def apply(self, shard_idx: int, delta_refs: list, scale: float):
+    def apply(self, scale: float, *deltas):
         """Apply every trainer's sparse delta for THIS shard, in trainer
-        order (deterministic), averaged across trainers.  ``delta_refs``
-        are ObjectRefs — the driver forwards them unresolved, so delta
+        order (deterministic), averaged across trainers.  Each delta is
+        a trainer's return for this shard alone, ``(ids, dW, dC)`` or
+        None; the driver passes the refs as top-level arguments, so the
         payloads move worker→shard through the object store only."""
-        for ref in delta_refs:
-            d = ray.get(ref)
+        for d in deltas:
             if d is None:
                 continue
-            per = d["ids"].get(shard_idx)
-            if per is None:
-                continue
-            gids, dW, dC = per
-            lids = np.asarray(gids, dtype=np.int64) - self.lo
+            gids, dW, dC = d
+            lids = gids - self.lo
             np.add.at(self.W, lids, dW * scale)
             np.add.at(self.C, lids, dC * scale)
         return True
@@ -111,17 +117,16 @@ class ParamShard:
             self.C[local_rows[m]] = Cs
         return len(gids)
 
-    def arrow_rows(self, names: np.ndarray):
+    def arrow_rows(self, names: np.ndarray) -> pa.Table:
         """This shard's (token, vector) rows as one Arrow table — the
         building block for streaming the trained matrix OUT as a
         Dataset (``from_arrow_refs``) without a driver collect."""
-        import pyarrow as pa
-
-        return pa.table(
-            {"token": pa.array([str(n) for n in names], pa.string()),
-             "vector": pa.array([r.tolist() for r in self.W],
-                                pa.list_(pa.float32()))}
-        )
+        n, dim = self.W.shape
+        offsets = np.arange(0, (n + 1) * dim, dim, dtype=np.int32)
+        return pa.table({
+            "token": pa.array(names, pa.string()),
+            "vector": pa.ListArray.from_arrays(offsets, self.W.ravel()),
+        })
 
     def write_parquet(self, path: str, names: np.ndarray) -> int:
         """Resumable per-shard embeddings sink: this shard's rows only."""
@@ -133,72 +138,57 @@ class ParamShard:
         return len(names)
 
 
-def vocab_from_dataset(walks_ds) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted vocabulary + counts of an exploded walks Dataset by a
-    distributed token count (one bucket shuffle); only the vocabulary
-    reaches the driver."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from pyrdf2vec_ray.shuffle import bucket_count
-    from pyrdf2vec_ray.util import to_table
-
-    def tokens(batch: pa.Table) -> pa.Table:
-        return pa.table({"token": pc.list_flatten(batch["walk"].combine_chunks())})
-
-    t = to_table(
-        bucket_count(
-            walks_ds.map_batches(tokens, batch_format="pyarrow"),
-            ["token"], "n",
-        )
-    )
-    names = np.asarray(t["token"].to_numpy(zero_copy_only=False)).astype(np.str_)
-    cnt = t["n"].to_numpy().astype(np.float64)
-    order = np.argsort(names)
-    return names[order], cnt[order]
-
-
 def _shard_bounds(vocab_size: int, num_ps: int) -> list[tuple[int, int]]:
     step = (vocab_size + num_ps - 1) // num_ps
-    return [(i * step, min((i + 1) * step, vocab_size)) for i in range(num_ps)]
+    return [(min(i * step, vocab_size), min((i + 1) * step, vocab_size))
+            for i in range(num_ps)]
+
+
+@ray.remote(num_returns=2)
+def count_walks(*parts):
+    """One sorted factorize (`embedders.build_vocab`) over one trainer's
+    share of the corpus: Arrow tables with a ``walk`` column (a
+    Dataset split's blocks) or lists of token lists (`fit`).  Returns
+    the partial vocabulary ``(sorted tokens, float64 counts)``, which
+    goes to the driver, and ``(codes, lengths)``, which goes to the
+    trainer.  A task, not a trainer method: Ray deserializes every
+    Arrow table with a reducer that imports ``ray.data``, which pooled
+    workers have loaded already and a fresh actor would pay for."""
+    arrays = [walk_arrays(p["walk"]) if isinstance(p, pa.Table)
+              else sentence_arrays(p) for p in parts] or [sentence_arrays([])]
+    local, counts, codes = build_vocab(np.concatenate([a[0] for a in arrays]))
+    return (local, counts), (codes, np.concatenate([a[1] for a in arrays]))
 
 
 @ray.remote
 class PSTrainer:
-    """One corpus shard; pulls touched rows per epoch, pushes sparse
-    deltas."""
+    """One corpus shard; pulls the rows it touches per epoch and pushes
+    one sparse delta per parameter shard."""
 
-    def __init__(self, vocab, cfg: dict, seed: int, bounds: list):
-        # the driver passes an ObjectRef; Ray resolves top-level args, so
-        # the sorted U-array arrives zero-copy from the object store
-        self.vocab: np.ndarray = vocab
+    def __init__(self, cfg: dict, seed: int):
         self.cfg = cfg
         self.seed = seed
-        self.bounds = bounds
         self.corpus = TokenCorpus()
-        self.neg_table = None
 
-    def add_sentences(self, walks: list[list[str]]):
-        tokens, lens = sentence_arrays(walks)
-        return self.corpus.add(token_ids(self.vocab, tokens), lens)
-
-    def add_dataset_split(self, split_ds):
-        for batch in split_ds.iter_batches(batch_format="pyarrow",
-                                           batch_size=1 << 14):
-            tokens, lens = walk_arrays(batch["walk"])
-            self.corpus.add(token_ids(self.vocab, tokens), lens)
-        return self.corpus.n_sentences
-
-    def set_neg_table(self, table):
+    def set_corpus(self, vocab: np.ndarray, bounds: list, table: np.ndarray,
+                   partial: tuple, coded: tuple):
+        """Install the merged vocabulary and this shard's counted corpus,
+        remapping its codes with one searchsorted over its partial
+        vocabulary."""
+        self.V = len(vocab)
+        self.bounds = bounds
         self.neg_table = table
+        codes, lens = coded
+        return self.corpus.add(token_ids(vocab, partial[0])[codes], lens)
 
     def train_epoch(self, epoch: int, lr: float, ps_handles: list):
+        """One epoch; returns one delta per parameter shard, ``(ids, dW,
+        dC)`` or None, as ``num_returns=len(bounds)`` objects."""
         model = SGNS(**self.cfg)
         # pass 1: touched-row flags only — the pair stream is REPLAYED in
         # pass 2 (expansion is ~0.3 s/1.5M tokens warm; rebuilding beats
         # holding corpus-scale pair buffers, see TokenCorpus.epoch_chunks)
-        V = len(self.vocab)
-        flag = np.zeros(V, dtype=bool)
+        flag = np.zeros(self.V, dtype=bool)
         n_pairs = 0
         for centers, ctxs, negs in self.corpus.epoch_chunks(
             self.seed, epoch, model.window, model.negative, self.neg_table
@@ -208,45 +198,42 @@ class PSTrainer:
             flag[negs.ravel()] = True
             n_pairs += len(ctxs)
         if not n_pairs:
-            return None
+            return _per_shard([None] * len(self.bounds))
         used = np.flatnonzero(flag)
 
         # pull only the touched rows, from the owning shards, in parallel
-        by_shard = []
-        for s, (lo, hi) in enumerate(self.bounds):
-            ids_s = used[(used >= lo) & (used < hi)]
-            by_shard.append(ids_s)
+        by_shard = [used[(used >= lo) & (used < hi)] for lo, hi in self.bounds]
         pulls = ray.get([
             ps_handles[s].pull.remote(ids_s)
             for s, ids_s in enumerate(by_shard)
         ])
-        dim = model.vector_size
-        W_local = np.zeros((len(used), dim), dtype=np.float32)
-        C_local = np.zeros((len(used), dim), dtype=np.float32)
-        offset = 0
-        for (ids_s, (Ws, Cs)) in zip(by_shard, pulls):
-            W_local[offset : offset + len(ids_s)] = Ws
-            C_local[offset : offset + len(ids_s)] = Cs
-            offset += len(ids_s)
-        # `used` is sorted and by_shard concatenation preserves that order
-        W0, C0 = W_local.copy(), C_local.copy()
+        # `used` is sorted and by_shard concatenation preserves that order.
+        # dtype= is not redundant: arrays unpickled from the object store
+        # carry a float32 dtype object that is not numpy's singleton, and
+        # np.add.at then leaves its indexed fast path (measured ~18x slower)
+        W0 = np.concatenate([Ws for Ws, _ in pulls], dtype=np.float32)
+        C0 = np.concatenate([Cs for _, Cs in pulls], dtype=np.float32)
 
         # pass 2: replay the pair stream on the compact local rows
-        model.W, model.C = W_local, C_local
-        inv = np.empty(V, dtype=np.int64)
+        model.W, model.C = W0.copy(), C0.copy()
+        inv = np.empty(self.V, dtype=np.int64)
         inv[used] = np.arange(len(used))
         model.train_epoch(self.corpus, self.seed, epoch, lr, self.neg_table,
                           remap=inv)
 
         dW, dC = model.W - W0, model.C - C0
-        out = {"ids": {}}
-        offset = 0
-        for s, ids_s in enumerate(by_shard):
+        out, offset = [], 0
+        for ids_s in by_shard:
             sl = slice(offset, offset + len(ids_s))
-            if len(ids_s):
-                out["ids"][s] = (ids_s, dW[sl], dC[sl])
+            out.append((ids_s, dW[sl], dC[sl]) if len(ids_s) else None)
             offset += len(ids_s)
-        return out
+        return _per_shard(out)
+
+
+def _per_shard(deltas: list):
+    """A task's ``num_returns=len(deltas)`` values: Ray wants a bare
+    value for one return and a tuple for more."""
+    return deltas[0] if len(deltas) == 1 else tuple(deltas)
 
 
 class DistributedWord2Vec:
@@ -262,103 +249,85 @@ class DistributedWord2Vec:
         self.counts: np.ndarray | None = None
         self._ps: list | None = None
 
-    def _set_vocab(self, vocab: np.ndarray, counts: np.ndarray,
-                   is_update: bool):
-        """Install a counted vocabulary.  An update re-fit of a trained
-        model merges it into the old one and returns the old model's
-        (shards, bounds, vocab) for the warm start; otherwise None."""
-        warm = None
-        if is_update and self._ps is not None:
-            warm = (self._ps, self._bounds, self.vocab)
-            vocab, counts = merge_vocab(self.vocab, self.counts, vocab, counts)
-        self.vocab, self.counts = vocab, counts
-        return warm
-
     # -- training ------------------------------------------------------------
 
-    def _train(self, feed_trainers, warm=None):
+    def _fit(self, parts: list[list], is_update: bool):
+        """Train on ``parts[i]``, the `count_walks` input of trainer i,
+        counted while the actor processes start.  An update re-fit of a
+        trained model merges the vocabulary into the old one and
+        warm-starts the carried rows (reference word2vec.py:37-52)."""
         cfg = self._cfg
-        dim = cfg.vector_size
-        bounds = _shard_bounds(len(self.vocab), self.num_ps)
-        ps = [
-            ParamShard.remote(lo, hi, dim, seed=cfg.seed + 7000 + i)
-            for i, (lo, hi) in enumerate(bounds)
-        ]
-        if warm is not None:
-            old_ps, old_bounds, old_vocab = warm
+        trainers = [PSTrainer.remote(self.kwargs, seed=cfg.seed + 1000 + i)
+                    for i in range(self.num_workers)]
+        ps = [ParamShard.remote() for _ in range(self.num_ps)]
+        counted = [count_walks.remote(*p) for p in parts]
+        partials = ray.get([c[0] for c in counted])
+        vocab, counts = partials[0]
+        for v, c in partials[1:]:
+            vocab, counts = merge_vocab(vocab, counts, v, c)
+        warm = is_update and self._ps is not None
+        if warm:
+            old_ps, old_bounds, old_vocab = self._ps, self._bounds, self.vocab
+            vocab, counts = merge_vocab(old_vocab, self.counts, vocab, counts)
+        self.vocab, self.counts = vocab, counts
+
+        bounds = _shard_bounds(len(vocab), self.num_ps)
+        ray.get([
+            p.init.remote(lo, hi, cfg.vector_size, cfg.seed + 7000 + i)
+            for i, (p, (lo, hi)) in enumerate(zip(ps, bounds))
+        ])
+        if warm:
             old_vocab_ref = ray.put(old_vocab)
             ray.get([
                 p.warm_init.remote(old_ps, old_bounds, old_vocab_ref,
-                                   self.vocab[lo:hi])
+                                   vocab[lo:hi])
                 for p, (lo, hi) in zip(ps, bounds)
             ])
             for p in old_ps:
                 ray.kill(p)
-        vocab_ref = ray.put(self.vocab)
-        trainers = [
-            PSTrainer.remote(vocab_ref, self.kwargs, seed=cfg.seed + 1000 + i,
-                             bounds=bounds)
-            for i in range(self.num_workers)
-        ]
-        feed_trainers(trainers)
-        neg_ref = ray.put(neg_table(self.counts, cfg.seed))
-        ray.get([t.set_neg_table.remote(neg_ref) for t in trainers])
+        vocab_ref = ray.put(vocab)
+        neg_ref = ray.put(neg_table(counts, cfg.seed))
+        ray.get([t.set_corpus.remote(vocab_ref, bounds, neg_ref, *c)
+                 for t, c in zip(trainers, counted)])
+        del counted   # the trainers hold the codes now: free the objects
 
         scale = 1.0 / self.num_workers
+        P = self.num_ps
         for epoch, lr in enumerate(cfg.schedule()):
-            delta_refs = [
-                t.train_epoch.remote(epoch, lr, ps) for t in trainers
+            deltas = [
+                t.train_epoch.options(num_returns=P).remote(epoch, lr, ps)
+                for t in trainers
             ]
-            # barrier BEFORE apply (fetch_local=False: deltas stay in the
-            # object store).  apply blocks its PS actor on the delta refs,
-            # and trainers block on pulls from the PS actors — applying
-            # before all trainers finished would deadlock the two pools.
-            ray.wait(delta_refs, num_returns=len(delta_refs),
-                     fetch_local=False)
-            # forward the REFS to every shard (nested refs stay unresolved
-            # — the driver never deserializes a delta)
+            if P == 1:
+                deltas = [[d] for d in deltas]
+            # Ray resolves the top-level refs before apply runs, so shard
+            # s receives only its own rows, and never blocks on a trainer
+            # that is still pulling from it
             ray.get([
-                p.apply.remote(s, delta_refs, scale) for s, p in enumerate(ps)
+                p.apply.remote(scale, *[d[s] for d in deltas])
+                for s, p in enumerate(ps)
             ])
         for t in trainers:
             ray.kill(t)
         self._ps = ps
         self._bounds = bounds
-
-    def fit(self, walks, is_update: bool = False) -> "DistributedWord2Vec":
-        """List-of-walks API (reference embedder contract).  With
-        ``is_update=True`` after a prior fit, old vocabulary rows
-        warm-start the new shards (reference word2vec.py:37-52)."""
-        sentences = [list(w) for ew in walks for w in ew]
-        warm = self._set_vocab(*build_vocab(sentence_arrays(sentences)[0]),
-                               is_update)
-
-        def feed(trainers):
-            shards = [sentences[i :: self.num_workers]
-                      for i in range(self.num_workers)]
-            ray.get([
-                t.add_sentences.remote(sh) for t, sh in zip(trainers, shards)
-            ])
-
-        self._train(feed, warm=warm)
         return self
 
+    def fit(self, walks, is_update: bool = False) -> "DistributedWord2Vec":
+        """List-of-walks API (reference embedder contract): trainer i
+        gets every num_workers-th walk."""
+        sentences = [list(w) for ew in walks for w in ew]
+        return self._fit([[sentences[i :: self.num_workers]]
+                          for i in range(self.num_workers)], is_update)
+
     def fit_dataset(self, walks_ds, is_update: bool = False) -> "DistributedWord2Vec":
-        """Dataset API: the corpus never lands on the driver — vocab by
-        grouped count, block splits feed the trainers directly."""
-        warm = self._set_vocab(*vocab_from_dataset(walks_ds), is_update)
+        """Dataset API: the corpus never lands on the driver — trainer
+        i's split is counted from its Arrow block refs, with no Ray
+        Data job and no vocabulary exchange."""
         # equal=True would silently DROP rows when the corpus size is not
         # divisible by num_workers; trainers tolerate uneven shards.
         splits = walks_ds.split(self.num_workers, equal=False)
-
-        def feed(trainers):
-            ray.get([
-                t.add_dataset_split.remote(sp)
-                for t, sp in zip(trainers, splits)
-            ])
-
-        self._train(feed, warm=warm)
-        return self
+        return self._fit([sp.to_arrow_refs() for sp in splits], is_update)
 
     # -- output --------------------------------------------------------------
 
@@ -445,7 +414,6 @@ class DistributedFastText(DistributedWord2Vec):
 
     def _fit_buckets(self):
         import pandas as pd
-        import pyarrow as pa
 
         from pyrdf2vec_ray import shuffle
 
@@ -509,8 +477,6 @@ class DistributedFastText(DistributedWord2Vec):
     def _lookup_buckets(self, needed: set) -> dict:
         """Fetch ONLY the requested buckets' vectors (semi-filter over
         the bucket Dataset — result bounded by |needed|)."""
-        import pyarrow as pa
-
         if not needed or self._bucket_ds is None:
             return {}
         need = np.array(sorted(int(h) for h in needed), dtype=np.int64)

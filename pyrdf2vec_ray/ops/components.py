@@ -162,31 +162,29 @@ def _pointer_jump(labels: ray.data.Dataset,
     request row to its parent's bucket; the parent's own row answers it.
     Every label value is itself a node present in L (labels start as
     node ids and only ever take other labels' values), so every request
-    finds its parent."""
+    finds its parent.  Keys may be of any one type; ``changed`` flags
+    the nodes whose label moved (`ops.graph.scc_bounded` jumps until
+    none does)."""
 
-    def tag(batch: pa.Table) -> pa.Table:
-        node = batch["node"].cast(pa.int64())
-        lab = batch["label"].cast(pa.int64())
-        n = batch.num_rows
-        own = pa.table({"key": node, "val": lab,
-                        "kind": pa.array(np.zeros(n, dtype=np.int8))})
-        req = pa.table({"key": lab, "val": node,
-                        "kind": pa.array(np.ones(n, dtype=np.int8))})
-        return pa.concat_tables([own, req])
-
-    tagged = labels.map_batches(tag, batch_format="pyarrow")
+    def tag(batch: pd.DataFrame) -> pd.DataFrame:
+        node, lab = batch["node"].to_numpy(), batch["label"].to_numpy()
+        return pd.DataFrame({"key": np.concatenate([node, lab]),
+                             "val": np.concatenate([lab, node]),
+                             "req": np.repeat([False, True], len(batch))})
 
     def jump_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        own = g[g["kind"] == 0]
-        req = g[g["kind"] == 1]
-        lab = own.set_index("key")["val"]
+        lab = g[~g["req"]].set_index("key")["val"]
+        req = g[g["req"]]
+        root = req["key"].map(lab)
         return pd.DataFrame({
-            "node": req["val"].to_numpy().astype(np.int64),
-            "label": req["key"].map(lab).to_numpy().astype(np.int64),
+            "node": req["val"].to_numpy(),
+            "label": root.to_numpy(),
+            "changed": (root != req["key"]).to_numpy().astype(np.int64),
         })
 
-    return bucket_apply(tagged, ["key"], jump_bucket,
-                        num_buckets=num_buckets, batch_format="pandas")
+    return bucket_apply(labels.map_batches(tag, batch_format="pandas"),
+                        ["key"], jump_bucket, num_buckets=num_buckets,
+                        batch_format="pandas")
 
 
 def connected_components(

@@ -1764,12 +1764,18 @@ def scc_bounded(
     members of any one SCC`` (a cycle of length L needs paths up to
     L−1); with fewer rounds, under-covered components fall apart into
     smaller classes — the same documented bounded-depth contract as
-    :func:`transitive_closure` and :func:`kcore_bounded`.
+    :func:`transitive_closure` and :func:`kcore_bounded`.  Covered
+    mutual pairs need not be transitive then (u↔v and v↔w covered,
+    u↔w not), so the min-reduce may label ``scc(w) = v`` while
+    ``scc(v) = u``; since ``scc(v) <= v`` the labels form a forest, and
+    pointer jumping resolves every node to its root.  The output is
+    always a partition whose classes each lie inside one true SCC.
 
     Scale shape: cost ceiling is the CLOSURE itself (reachability
     pairs — hierarchy-shaped graphs stay linear-ish, dense graphs
     explode on any engine); the semi-join and the min-reduce are
     closure-pair-scale and node-scale bucket exchanges."""
+    from pyrdf2vec_ray.ops.components import _pointer_jump
     from pyrdf2vec_ray.ops.join import hash_semi_join
     from pyrdf2vec_ray.shuffle import bucket_agg
 
@@ -1796,8 +1802,13 @@ def scc_bounded(
 
     votes = mutual.map_batches(as_cand, batch_format="pandas").union(
         edges.map_batches(identity, batch_format="pandas"))
-    return bucket_agg(votes, ["node"], {"scc": ("cand", "min")},
-                      num_buckets=num_buckets)
+    labels = bucket_agg(votes, ["node"], {"label": ("cand", "min")},
+                        num_buckets=num_buckets)
+    while True:
+        labels = _pointer_jump(labels, num_buckets).materialize()
+        if not labels.sum("changed"):
+            return labels.drop_columns(["changed"]).rename_columns(
+                {"label": "scc"})
 
 
 def betweenness_sampled(

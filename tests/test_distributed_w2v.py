@@ -3,14 +3,17 @@ equality with the in-process trainer at one worker and one shard,
 vectors pinned byte for byte, transformer integration."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data
 
-from pyrdf2vec_ray import synth
-from pyrdf2vec_ray.embedders import FastText, Word2Vec
+from pyrdf2vec_ray import shuffle, synth
+from pyrdf2vec_ray.embedders import FastText, Word2Vec, build_vocab
 from pyrdf2vec_ray.embedders_dist import DistributedFastText, DistributedWord2Vec
 from pyrdf2vec_ray.pipelines.rdf2vec import RDF2VecTransformer
 from pyrdf2vec_ray.walkers import WalkerSpec
@@ -253,3 +256,85 @@ def test_distributed_w2v_dataset_split_keeps_all_rows():
                             epochs=1, seed=1)
     m.fit_dataset(ds)
     assert set(m.vocab.tolist()) == {"a", "b", "c"}
+
+
+def _vocab_ds(corpus):
+    """Two Arrow blocks of exploded walks, the second with a one-token walk."""
+    walks = [w for ew in corpus for w in ew] + [["z"]]
+    half = len(walks) // 2
+    return ray.data.from_arrow([
+        pa.table({"walk": pa.array(part, pa.list_(pa.string()))})
+        for part in (walks[:half], walks[half:])
+    ]), walks
+
+
+@pytest.mark.parametrize("num_workers", [1, 2, 3])
+def test_trainer_vocab_equals_build_vocab(num_workers):
+    """The count_walks partials, merged on the driver, equal one
+    build_vocab over every token: for fit_dataset (3 workers over 2
+    blocks leaves one split empty) and fit.  The one-token walk has no
+    pairs but is counted."""
+    ds, walks = _vocab_ds(CORPUS)
+    vocab, counts, _ = build_vocab(np.array([t for w in walks for t in w],
+                                            dtype=object))
+    assert "z" in vocab
+    kw = dict(num_workers=num_workers, num_ps=2, vector_size=4, epochs=1,
+              seed=3)
+    for m in (DistributedWord2Vec(**kw).fit_dataset(ds),
+              DistributedWord2Vec(**kw).fit([[w] for w in walks])):
+        assert np.array_equal(m.vocab, vocab)
+        assert np.array_equal(m.counts, counts)
+        assert m.counts.dtype == np.float64
+
+
+def test_fit_dataset_runs_no_vocab_exchange(monkeypatch):
+    """The vocabulary is counted inside the trainers: no bucket_count
+    exchange runs during fit_dataset."""
+    def boom(*args, **kwargs):
+        raise AssertionError("fit_dataset ran a bucket_count exchange")
+
+    monkeypatch.setattr(shuffle, "bucket_count", boom)
+    m = DistributedWord2Vec(num_workers=2, num_ps=1, vector_size=4,
+                            epochs=1, seed=3).fit_dataset(_walks_ds(CORPUS))
+    assert list(m.vocab) == ["a", "b", "c", "p", "q", "r"]
+
+
+def test_trainers_do_not_import_ray_data(monkeypatch):
+    """Trainers read their split's Arrow block refs directly: after a
+    fit_dataset, no trainer process has imported ray.data."""
+    probes = []
+    kill = ray.kill
+
+    def probe_then_kill(actor, **kwargs):
+        probes.append(ray.get(actor.__ray_call__.remote(
+            lambda self: "ray.data" in sys.modules)))
+        kill(actor, **kwargs)
+
+    monkeypatch.setattr(ray, "kill", probe_then_kill)
+    DistributedWord2Vec(num_workers=2, num_ps=1, vector_size=4, epochs=1,
+                        seed=3).fit_dataset(_walks_ds(CORPUS))
+    assert probes == [False, False]
+
+
+def test_parquet_sink_equals_per_row_build(tmp_path):
+    """ParamShard.arrow_rows builds the vector column from one offsets
+    array: the written table equals a row-by-row Arrow build."""
+    m = DistributedWord2Vec(num_workers=2, num_ps=2, vector_size=8,
+                            epochs=1, seed=3).fit(CORPUS)
+    assert m.write_parquet(str(tmp_path / "emb")) == len(m.vocab)
+    names = [str(t) for t in m.vocab]
+    want = pa.table({
+        "entity": pa.array(names, pa.string()),
+        "vector": pa.array([r.tolist() for r in m._pull_vectors(names)],
+                           pa.list_(pa.float32())),
+    })
+    assert pq.read_table(str(tmp_path / "emb")).equals(want)
+
+
+def test_more_shards_than_vocab_rows():
+    """5 tokens over 4 shards: the last shard owns no rows (its bounds
+    were (6, 5) before, a negative row count)."""
+    m = DistributedWord2Vec(num_workers=1, num_ps=4, vector_size=4,
+                            epochs=1, seed=3).fit([[["a", "b", "c", "d", "e"]]])
+    assert m._bounds == [(0, 2), (2, 4), (4, 5), (5, 5)]
+    assert len(m.transform(list(m.vocab))) == 5

@@ -353,6 +353,52 @@ def test_scc_bound_contract_undercovered_cycle_falls_apart():
     assert set(out.values()) == {"n0"}
 
 
+def _true_scc_classes(pairs):
+    """Mutual reachability by BFS from every node: the exact SCCs."""
+    nodes = sorted({x for p in pairs for x in p})
+    out = {n: [] for n in nodes}
+    for a, b in pairs:
+        out[a].append(b)
+
+    def reach(src):
+        seen, todo = {src}, [src]
+        while todo:
+            for y in out[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    r = {n: reach(n) for n in nodes}
+    return {n: frozenset(m for m in r[n] if n in r[m]) for n in nodes}
+
+
+def test_scc_undercovered_output_is_a_partition():
+    # a 12-node cycle walked both ways, a one-way bridge, a 2-cycle:
+    # rounds=1 covers paths <= 2, so covered mutual pairs chain
+    # (n03 <-> n05, n01 <-> n03) without being transitive
+    from pyrdf2vec_ray.ops.graph import scc_bounded
+
+    ring = [f"n{i:02d}" for i in range(12)]
+    pairs = [(ring[i], ring[(i + 1) % 12]) for i in range(12)]
+    pairs += [(b, a) for a, b in pairs]
+    pairs += [("n05", "m0"), ("m0", "m1"), ("m1", "m0")]
+    edges = ray.data.from_items([{"a": a, "b": b} for a, b in pairs])
+    true = _true_scc_classes(pairs)
+
+    out = (scc_bounded(edges, rounds=1).to_pandas()
+           .set_index("node")["scc"].to_dict())
+    assert set(out) == set(true)
+    assert all(out[out[v]] == out[v] for v in out)
+    for v, root in out.items():
+        assert v in true[root]
+    # rounds=3 covers paths <= 8 >= the 6-hop way round: the exact SCCs
+    out3 = (scc_bounded(edges, rounds=3).to_pandas()
+            .set_index("node")["scc"].to_dict())
+    assert out3 == {v: min(c) for v, c in true.items()}
+    assert out == out3
+
+
 def test_scc_int_keyed_edges():
     from pyrdf2vec_ray.ops.graph import scc_bounded
 
