@@ -35,22 +35,21 @@ stateless vectorized ``map_batches`` filter over the triple stream —
 at 100 TB this is the moment column/row pruning happens, one pass
 shared by all patterns, pinned as one tagged set).  One more pass over
 that pinned set yields the exact row count of every pattern scan, and
-one after it collects every scan within ``broadcast_threshold`` rows
-to the driver.  Joins are then ADAPTIVE per hop (the AQE strategy): a
-scan within the threshold broadcasts into the still-lazy accumulating
-solution set — a stateless merge fused into the chain's map stage, no
-materialize and no shuffle.  Only a scan over the threshold stops the
-chain: the accumulating set is materialized and counted, and it
-broadcasts to every scan task while under the threshold, else the hop
-is ONE int-bucket hash shuffle (`ops/join.hash_join`) keyed on the
-shared variables with schema hints keeping the chain
-single-execution.  Join ORDER is chosen
-greedily — start at the most-constant (most selective) pattern, then
-always extend with a pattern sharing at least one bound variable,
-preferring fewer new variables — so intermediate results shrink before
-they widen and no cartesian product is ever formed (a disconnected BGP
-raises).  Skewed join variables inherit `hash_join`'s bucket-count
-control via ``num_buckets``.
+one after it collects every scan within ``ops/join.BROADCAST_ROWS``
+rows to the driver.  Joins are then ADAPTIVE per hop (the AQE
+strategy): a scan within the limit broadcasts into the still-lazy
+accumulating solution set — a stateless merge fused into the chain's
+map stage, no materialize and no shuffle.  Only a scan over the limit
+stops the chain: one `ops/join.adaptive_join` materializes the
+accumulating set and broadcasts it to every scan task while it fits,
+else the hop is ONE int-bucket hash shuffle keyed on the shared
+variables with schema hints keeping the chain single-execution.  Join
+ORDER is chosen greedily — start at the most-constant (most selective)
+pattern, then always extend with a pattern sharing at least one bound
+variable, preferring fewer new variables — so intermediate results
+shrink before they widen and no cartesian product is ever formed (a
+disconnected BGP raises).  Skewed join variables inherit
+`hash_join`'s bucket-count control via ``num_buckets``.
 """
 from __future__ import annotations
 
@@ -246,7 +245,6 @@ def _pattern_scan(
 def _multiplex_scans(
     triples: ray.data.Dataset,
     pats: list[tuple[str, str, str]],
-    broadcast_threshold: int,
 ) -> list[tuple[ray.data.Dataset, list[str], pa.Table | None]]:
     """ONE shared pass over the triple stream evaluating EVERY plain
     pattern's mask per batch (VERDICT r4 item 1: an N-pattern BGP must
@@ -260,16 +258,17 @@ def _multiplex_scans(
 
     Returns ``(scan, var_names, local)`` per pattern.  ``local`` is the
     scan's rows as a driver-side Arrow table when the scan holds at most
-    ``broadcast_threshold`` rows (``None`` otherwise, and always when
-    the threshold is 0): one pass over the pinned set counts every
-    pattern's rows, and one more collects all the small scans at once,
-    so a broadcast hop costs no job of its own.
+    ``ops/join.BROADCAST_ROWS`` rows (``None`` otherwise): one pass over
+    the pinned set counts every pattern's rows, and one more collects
+    all the small scans at once, so a broadcast hop costs no job of its
+    own.
 
     Scale note: the pinned tagged set is Σ per-pattern selectivities —
     for the constant-pinned patterns real queries are made of it is a
     small fraction of the corpus (and it spills via the object store
     if not; an unpinned ``?s ?p ?o`` pattern is corpus-sized on any
     engine)."""
+    from pyrdf2vec_ray.ops import join
     from pyrdf2vec_ray.util import to_table
 
     if not pats:
@@ -303,28 +302,27 @@ def _multiplex_scans(
     tagged = triples.map_batches(
         scan_all, batch_format="pyarrow").materialize()
 
+    def pid_counts(batch: pa.Table) -> pa.Table:
+        n = np.bincount(batch["pid"].to_numpy(), minlength=len(specs))
+        return pa.table({"n": n.astype(np.int64)})
+
     counts = np.zeros(len(specs), dtype=np.int64)
-    small: set[int] = set()
-    if broadcast_threshold > 0:
-        def pid_counts(batch: pa.Table) -> pa.Table:
-            n = np.bincount(batch["pid"].to_numpy(), minlength=len(specs))
-            return pa.table({"n": n.astype(np.int64)})
+    per_batch = to_table(tagged.map_batches(
+        pid_counts, batch_format="pyarrow"))
+    if per_batch.num_rows:
+        counts = per_batch["n"].to_numpy().reshape(
+            -1, len(specs)).sum(axis=0)
+    # the sizes are known, so the broadcast rule applies to them as is
+    small = {pid for pid, n in enumerate(counts)
+             if n <= join.BROADCAST_ROWS}
+    wanted = pa.array([p for p in small if counts[p]], pa.int32())
+    if len(wanted):
+        def pick(batch: pa.Table) -> pa.Table:
+            return batch.filter(
+                pc.is_in(batch["pid"], value_set=wanted))
 
-        per_batch = to_table(tagged.map_batches(
-            pid_counts, batch_format="pyarrow"))
-        if per_batch.num_rows:
-            counts = per_batch["n"].to_numpy().reshape(
-                -1, len(specs)).sum(axis=0)
-        small = {pid for pid, n in enumerate(counts)
-                 if n <= broadcast_threshold}
-        wanted = pa.array([p for p in small if counts[p]], pa.int32())
-        if len(wanted):
-            def pick(batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.is_in(batch["pid"], value_set=wanted))
-
-            got = to_table(tagged.map_batches(
-                pick, batch_format="pyarrow"))
+        got = to_table(tagged.map_batches(
+            pick, batch_format="pyarrow"))
 
     out: list[tuple[ray.data.Dataset, list[str], pa.Table | None]]
     out = []
@@ -372,7 +370,6 @@ _FILTER_OPS.update(_FILTER_STR_FUNCS)
 def _eval_group(
     scans: list[tuple[ray.data.Dataset, list[str], pa.Table | None]],
     patterns: list[tuple[str, str, str]],
-    broadcast_threshold: int,
     num_buckets: int | None,
 ) -> tuple[ray.data.Dataset, list[str]]:
     """Join a pattern group's pre-built scans into its solution set:
@@ -380,11 +377,12 @@ def _eval_group(
     extend across a shared variable, fewest new vars first — so
     intermediates shrink before they widen and no cartesian product is
     formed), each hop adaptive (AQE): a scan with a driver-side
-    ``local`` table (within ``broadcast_threshold``, see
+    ``local`` table (within ``ops/join.BROADCAST_ROWS``, see
     :func:`_multiplex_scans`) broadcasts into the lazy accumulating
-    solutions; past it, broadcast the accumulating solutions while
-    small, else hash-shuffle.  Returns (solutions, var-column order)."""
-    from pyrdf2vec_ray.ops.join import broadcast_join
+    solutions; past it, one ``ops/join.adaptive_join`` broadcasts the
+    accumulating solutions while small, else hash-shuffles.  Returns
+    (solutions, var-column names)."""
+    from pyrdf2vec_ray.ops.join import adaptive_join, broadcast_join
 
     if not scans:
         raise ValueError("empty BGP")
@@ -421,27 +419,14 @@ def _eval_group(
             acc_vars = (list(acc_vars)
                         + [v for v in svars if v not in acc_vars])
             continue
-        # a large (or unsized property-path) scan: materialize the
-        # accumulating solutions and broadcast them while small, else
-        # ONE co-partitioning hash shuffle.  Re-executing `scan` is a
+        # a large (or unsized property-path) scan: the accumulating
+        # solutions broadcast to it while small, else ONE
+        # co-partitioning hash shuffle.  Re-executing `scan` is a
         # pid-filter over the PINNED multiplexed tagged set (see
         # _multiplex_scans), not a corpus re-scan.
-        if broadcast_threshold > 0:
-            acc = acc.materialize()
-        if (broadcast_threshold > 0
-                and acc.count() <= broadcast_threshold):
-            acc = broadcast_join(scan, acc, on=on)
-            # merge column order: scan cols, then acc extras
-            acc_vars = (list(svars)
-                        + [v for v in acc_vars if v not in svars])
-        else:
-            acc = hash_join(
-                acc, scan, on=on, num_buckets=num_buckets,
-                lschema={v: o for v in acc_vars},
-                rschema={v: o for v in svars})
-            # hash_join column order: on + left-extra + right-extra
-            acc_vars = (on + [v for v in acc_vars if v not in on]
-                        + [v for v in svars if v not in on])
+        acc = adaptive_join(scan, acc, on=on, num_buckets=num_buckets,
+                            lschema={v: o for v in svars})
+        acc_vars = list(svars) + [v for v in acc_vars if v not in svars]
     return acc, list(acc_vars)
 
 
@@ -458,7 +443,6 @@ def bgp_match(
     values_rows: list[tuple[list[str], list[tuple]]] | None = None,
     unbound: str = "",
     closure_rounds: int = 6,
-    broadcast_threshold: int = 200_000,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Evaluate a conjunctive triple-pattern query (SPARQL BGP) over a
@@ -554,7 +538,7 @@ def bgp_match(
     plain = [(gi, pi) for gi, g in enumerate(groups)
              for pi, p in enumerate(g) if not _is_path(p[1])]
     mux = _multiplex_scans(
-        triples, [groups[gi][pi] for gi, pi in plain], broadcast_threshold)
+        triples, [groups[gi][pi] for gi, pi in plain])
     scan_map = dict(zip(plain, mux))
     for gi, g in enumerate(groups):
         for pi, p in enumerate(g):
@@ -565,8 +549,7 @@ def bgp_match(
     def group_scans(gi: int) -> list:
         return [scan_map[(gi, pi)] for pi in range(len(groups[gi]))]
 
-    acc, acc_vars = _eval_group(
-        group_scans(0), patterns, broadcast_threshold, num_buckets)
+    acc, acc_vars = _eval_group(group_scans(0), patterns, num_buckets)
 
     if values:
         for var in values:
@@ -640,8 +623,7 @@ def bgp_match(
         + [(p, f, True, "FILTER NOT EXISTS") for p, f in notex_norm])
     for gi, (group, gfilters, anti, kind) in enumerate(
             semi_groups, start=1):
-        sub, _ = _eval_group(group_scans(gi), group,
-                             broadcast_threshold, num_buckets)
+        sub, _ = _eval_group(group_scans(gi), group, num_buckets)
         sub_vars = _bgp_vars(group)
         if gfilters:
             # group-local filters prune the SUB-solutions before the
@@ -686,8 +668,7 @@ def bgp_match(
 
     for gi, (group, gfilters) in enumerate(
             opt_norm, start=1 + len(semi_groups)):
-        sub, _ = _eval_group(group_scans(gi), group,
-                             broadcast_threshold, num_buckets)
+        sub, _ = _eval_group(group_scans(gi), group, num_buckets)
         sub_vars = _bgp_vars(group)
         if gfilters:
             # filter-inside-OPTIONAL: applies to the group's OWN

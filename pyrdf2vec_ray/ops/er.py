@@ -180,7 +180,6 @@ def er_resolve(
 def sameas_canonicalize(
     triples: ray.data.Dataset,
     sameas_pred: str = "owl:sameAs",
-    broadcast_threshold: int = 2_000_000,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Collapse ``owl:sameAs`` equivalence classes in a ``(subj, pred,
@@ -205,17 +204,17 @@ def sameas_canonicalize(
        bucket exchanges over the EDGE-scale table) finds classes.
     3. min(name) per class = canonical; the (name, canon) alias map is
        ALIAS-TABLE-sized.
-    4. Fact rewrite is adaptive, the bgp_match AQE discipline: the map
-       broadcasts (`ray.put` once, stateless per-batch merge — zero
-       shuffles) while under ``broadcast_threshold`` rows, else two
-       co-partitioning `hash_join`s (subj side, obj side).  Final
-       distinct is ONE bucket shuffle over the rewritten facts.
+    4. Fact rewrite is one `ops/join.adaptive_join` per side (subj,
+       obj): the map broadcasts (`ray.put` once, stateless per-batch
+       merge — zero shuffles) while it fits ``BROADCAST_ROWS``, else a
+       co-partitioning hash join.  Final distinct is ONE bucket shuffle
+       over the rewritten facts.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
 
     from pyrdf2vec_ray.ops.components import connected_components
-    from pyrdf2vec_ray.ops.join import broadcast_join, hash_join
+    from pyrdf2vec_ray.ops.join import adaptive_join, hash_join, small_table
     from pyrdf2vec_ray.shuffle import bucket_agg, dense_ids, distinct
 
     def edge_scan(batch: pa.Table) -> pa.Table:
@@ -237,18 +236,18 @@ def sameas_canonicalize(
     edges = triples.map_batches(
         edge_scan, batch_format="pyarrow").materialize()
     facts = triples.map_batches(fact_scan, batch_format="pyarrow")
-    n_edges = edges.count()
-    if n_edges == 0:
+    if edges.count() == 0:
         return distinct(facts, ["subj", "pred", "obj"],
                         num_buckets=num_buckets)
-    if n_edges <= broadcast_threshold:
-        # the alias edge set fits the SAME bound that lets the (name,
-        # canon) map broadcast — so compute the classes directly with
-        # a union-find over the collected pairs instead of paying
-        # dense_ids + CC + four hash joins their fixed per-exchange
-        # costs (measured 21 s → ~6 s at gate scale); the FACT
-        # rewrite below stays fully distributed either way
-        ep = edges.to_pandas()
+    ep = small_table(edges)
+    if ep is not None:
+        # the alias edge set fits the broadcast rule — so compute the
+        # classes directly with a union-find over the collected pairs
+        # instead of paying dense_ids + CC + four hash joins their
+        # fixed per-exchange costs (measured 21 s → ~6 s at gate
+        # scale); the FACT rewrite below stays fully distributed
+        # either way
+        ep = ep.to_pandas()
         parent: dict = {}
 
         def find(x):
@@ -326,21 +325,14 @@ def sameas_canonicalize(
         return fn
 
     amap = amap.materialize()
-    small = amap.count() <= broadcast_threshold
     for side in ("subj", "obj"):
         side_map = amap.map_batches(
             lambda b, _s=side: pa.table({_s: b["name"],
                                          "__canon": b["canon"]}),
             batch_format="pyarrow")
-        if small:
-            facts = broadcast_join(facts, side_map, on=[side],
-                                   how="left")
-        else:
-            facts = hash_join(
-                facts, side_map, on=[side], how="left",
-                num_buckets=num_buckets,
-                lschema={"subj": o, "pred": o, "obj": o},
-                rschema={side: o, "__canon": o})
+        facts = adaptive_join(facts, side_map, on=[side], how="left",
+                              num_buckets=num_buckets,
+                              lschema={"subj": o, "pred": o, "obj": o})
         facts = facts.map_batches(rewrite_with(side, "__canon"),
                                   batch_format="pandas")
     return distinct(facts.select_columns(["subj", "pred", "obj"]),

@@ -26,59 +26,26 @@ __all__ = ["triangle_counts", "link_scores", "neighbor_mean_features",
            "scc_bounded"]
 
 
-def _broadcast_set(ds: ray.data.Dataset, col: str,
-                   threshold: int = 500_000) -> frozenset | None:
-    """Collect a MATERIALIZED single-column Dataset as a frozenset when
-    its row count (metadata-free on materialized data) is under the
-    broadcast threshold shared with join.semi_join_adaptive; ``None``
-    past it — callers fall back to the distributed join path.  The
-    iterative graph ops use this to fuse per-round removal joins into
-    stateless filter maps."""
-    n = ds.count()
-    if n > threshold:
+def _broadcast_set(ds: ray.data.Dataset, col: str) -> frozenset | None:
+    """A MATERIALIZED single-column Dataset as a frozenset when it
+    fits the broadcast rule (``join.small_table``); ``None`` past it —
+    callers fall back to the distributed join path.  The iterative
+    graph ops use this to fuse per-round removal joins into stateless
+    filter maps."""
+    from pyrdf2vec_ray.ops.join import small_table
+
+    t = small_table(ds)
+    if t is None:
         return None
-    if n == 0:
-        # a zero-row Dataset can reach consumers schema-less — don't
-        # touch its (possibly absent) columns
-        return frozenset()
-    from pyrdf2vec_ray.util import to_table
-
-    return frozenset(to_table(ds)[col].to_pylist())
+    # a zero-row Dataset reaches the driver column-less
+    return frozenset(t[col].to_pylist()) if t.num_rows else frozenset()
 
 
-def triangle_counts(
-    edges: ray.data.Dataset,
-    a_col: str = "a",
-    b_col: str = "b",
-) -> ray.data.Dataset:
-    """Per-vertex triangle participation counts over an undirected
-    graph given as an edge list (self-loops dropped, duplicate edges
-    collapsed).  Returns ``(v, degree, n_tri)`` for every vertex that
-    participates in at least one triangle's edge set — i.e. every
-    vertex of the deduplicated graph — with ``n_tri = 0`` rows
-    included only for vertices that appear in the edge list.
-
-    Algorithm (degree-oriented wedge closing): direct every edge from
-    its lower-(degree, id) endpoint to the higher one; the resulting
-    DAG has out-degree O(√m) at every vertex, so generating the
-    out-neighbor pairs (wedges) per center and probing each pair
-    against the directed edge set enumerates each triangle exactly
-    once at O(m^1.5) total work — hub vertices (the KG's
-    nation-degree-6000 problem) sit at the HIGH end of the order and
-    receive no fan-out.
-
-    Shuffle shape: one distinct, one degree count, one center-bucket
-    wedge generation, one vertex-bucket count.  The degree attach, the
-    closing probe against the directed edge set, and the final
-    degree/count merge all follow the AQE discipline of the BGP chain:
-    when the side being probed (degree map / packed pair set /
-    triangle-count map) fits the broadcast budget it ships once via
-    ``ray.put`` and the probe is a stateless map — zero exchanges —
-    else each falls back to the key-bucket hash join.  None of the
-    exchanges is a global sort, and wedge volume is the algorithmic
-    O(m^1.5) bound rather than the naive sum of squared hub degrees."""
-    from pyrdf2vec_ray.ops.join import hash_join
-    from pyrdf2vec_ray.shuffle import bucket_agg, bucket_apply, distinct
+def _canon_undirected(edges: ray.data.Dataset, a_col: str, b_col: str,
+                      num_buckets: int | None = None) -> ray.data.Dataset:
+    """The distinct undirected edge set ``(a, b)`` with ``a < b`` and
+    self-loops dropped, materialized."""
+    from pyrdf2vec_ray.shuffle import distinct
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch[a_col].to_numpy()
@@ -87,40 +54,45 @@ def triangle_counts(
         a, b = a[keep], b[keep]
         return pd.DataFrame({"a": np.minimum(a, b), "b": np.maximum(a, b)})
 
-    # The DAG below is a diamond: `e` feeds both the degree count and
-    # the degree-attach joins, and the directed edge set `de` feeds
-    # both wedge generation and the closing probe.  Ray Data has no
-    # common-subexpression reuse — each consumer re-executes its
-    # upstream chain — so the shared nodes are materialized ONCE into
-    # the (spillable) object store; everything downstream still
-    # streams.  This is the documented pattern for multi-consumer
-    # stages, not a driver collect: no rows ever reach the driver.
-    e = distinct(edges.map_batches(canon, batch_format="pandas"),
-                 ["a", "b"]).materialize()
+    return distinct(edges.map_batches(canon, batch_format="pandas"),
+                    ["a", "b"], num_buckets=num_buckets).materialize()
+
+
+def _triangles(e: ray.data.Dataset, num_buckets: int | None = None):
+    """Every triangle of a canonical distinct undirected edge set ``e``
+    (``a < b``, materialized) exactly once, as ``(p, q, center)`` rows,
+    plus the materialized degree table ``(v, d)``.
+
+    Degree-oriented wedge closing (Chiba–Nishizeki / Schank–Wagner):
+    direct every edge from its lower-(degree, id) endpoint to the
+    higher one; the resulting DAG has out-degree O(√m) at every vertex,
+    so the out-neighbor pairs (wedges) per center, probed against the
+    directed edge set, enumerate each triangle once at O(m^1.5) total
+    work — hub vertices sit at the HIGH end of the order and receive no
+    fan-out.  The degree attach and the closing probe broadcast their
+    probed side (degree map, directed pair set) when it fits the
+    broadcast rule, else each is a key-bucket join."""
+    from pyrdf2vec_ray.ops.join import (_dtypes_of, adaptive_join,
+                                        hash_join, small_table)
+    from pyrdf2vec_ray.shuffle import bucket_agg, bucket_apply
+
+    vd = _dtypes_of(e, None)["a"]
+    i8 = np.dtype("int64")
 
     def ends(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {"v": np.concatenate([batch["a"].to_numpy(),
                                   batch["b"].to_numpy()])})
 
+    # e feeds both the degree count and the attach, and the directed
+    # edge set feeds both the wedges and the closing probe; Ray Data
+    # re-executes a lazy input per consumer, so both are materialized
     deg = bucket_agg(e.map_batches(ends, batch_format="pandas"),
-                     ["v"], {"d": ("v", "size")}).materialize()
-
-    def rn(old_v, old_d, new_v, new_d):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={old_v: new_v, old_d: new_d})
-        return fn
-
-    # schema hints on lazy join inputs: .schema() on a lazy shuffle
-    # chain re-executes it (see ops/join._dtypes_of); e/deg are
-    # materialized so only the chained outputs need hints
-    from pyrdf2vec_ray.ops.join import _dtypes_of
-
-    vd = _dtypes_of(e, None)["a"]
-    i8 = np.dtype("int64")
-    broadcast_threshold = 2_000_000
-    if deg.count() <= broadcast_threshold:
-        ddf = deg.to_pandas()
+                     ["v"], {"d": ("v", "size")},
+                     num_buckets=num_buckets).materialize()
+    dt = small_table(deg)
+    if dt is not None:
+        ddf = dt.to_pandas()
         deg_ref = ray.put(dict(zip(ddf["v"], ddf["d"].astype(np.int64))))
 
         def attach_deg(batch: pd.DataFrame) -> pd.DataFrame:
@@ -132,11 +104,18 @@ def triangle_counts(
 
         eab = e.map_batches(attach_deg, batch_format="pandas")
     else:
-        ea = hash_join(e, deg.map_batches(rn("v", "d", "a", "da"),
-                                          batch_format="pandas"), on=["a"])
-        eab = hash_join(ea, deg.map_batches(rn("v", "d", "b", "db"),
+        def rn(nv, nd):
+            def fn(batch: pd.DataFrame) -> pd.DataFrame:
+                return batch.rename(columns={"v": nv, "d": nd})
+            return fn
+
+        ea = hash_join(e, deg.map_batches(rn("a", "da"),
+                                          batch_format="pandas"),
+                       on=["a"], num_buckets=num_buckets,
+                       rschema={"a": vd, "da": i8})
+        eab = hash_join(ea, deg.map_batches(rn("b", "db"),
                                             batch_format="pandas"),
-                        on=["b"],
+                        on=["b"], num_buckets=num_buckets,
                         lschema={"a": vd, "b": vd, "da": i8},
                         rschema={"b": vd, "db": i8})
 
@@ -162,38 +141,44 @@ def triangle_counts(
                              "q": j["w_2"].to_numpy(),
                              "center": j["u"].to_numpy()})
 
-    wed = bucket_apply(de, ["u"], wedges, batch_format="pandas")
+    def as_pq(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"p": batch["u"].to_numpy(),
+                             "q": batch["w"].to_numpy()})
 
-    # closing probe: the directed edge set is |E| keys; when it fits
-    # the broadcast budget, ship the (u, w) pair set once and filter
-    # wedges in a stateless map — the pair-bucket join it replaces
-    # exchanges the FULL O(m^1.5) wedge stream
-    if de.count() <= broadcast_threshold:
-        dedf = de.to_pandas()
-        pair_ref = ray.put(frozenset(zip(dedf["u"], dedf["w"])))
+    # closing probe: a wedge is a triangle iff (p, q) is a directed
+    # edge.  Broadcasting the |E| pair set keeps the O(m^1.5) wedge
+    # stream out of any exchange
+    wed = bucket_apply(de, ["u"], wedges, num_buckets=num_buckets,
+                       batch_format="pandas")
+    tri = adaptive_join(wed, de.map_batches(as_pq, batch_format="pandas"),
+                        on=["p", "q"], how="semi", num_buckets=num_buckets,
+                        lschema={"p": vd, "q": vd, "center": vd})
+    return tri, deg
 
-        def close(batch: pd.DataFrame) -> pd.DataFrame:
-            pairs_set = ray.get(pair_ref)
-            if not len(batch):
-                return batch
-            mask = np.fromiter(
-                (pq in pairs_set
-                 for pq in zip(batch["p"].to_numpy(),
-                               batch["q"].to_numpy())),
-                dtype=bool, count=len(batch))
-            return batch[mask]
 
-        tri = wed.map_batches(close, batch_format="pandas")
-    else:
-        def as_pq(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"p": batch["u"].to_numpy(),
-                                 "q": batch["w"].to_numpy()})
+def triangle_counts(
+    edges: ray.data.Dataset,
+    a_col: str = "a",
+    b_col: str = "b",
+) -> ray.data.Dataset:
+    """Per-vertex triangle participation counts over an undirected
+    graph given as an edge list (self-loops dropped, duplicate edges
+    collapsed).  Returns ``(v, degree, n_tri)`` for every vertex of the
+    deduplicated graph, with ``n_tri = 0`` for vertices in no
+    triangle; an empty edge set gives an empty result.
 
-        tri = hash_join(wed,
-                        de.map_batches(as_pq, batch_format="pandas"),
-                        on=["p", "q"],
-                        lschema={"p": vd, "q": vd, "center": vd},
-                        rschema={"p": vd, "q": vd})
+    Triangles come from :func:`_triangles` (degree-oriented wedge
+    closing, O(m^1.5) wedges, no global sort); each triangle then
+    votes once for each of its three vertices in one vertex-bucket
+    count, and the per-vertex counts attach to the degree table in one
+    adaptive left join (``join.adaptive_join``)."""
+    from pyrdf2vec_ray.ops.join import adaptive_join
+    from pyrdf2vec_ray.shuffle import bucket_agg
+
+    e = _canon_undirected(edges, a_col, b_col)
+    if not e.count():
+        return e
+    tri, deg = _triangles(e)
 
     def roles(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -201,31 +186,8 @@ def triangle_counts(
                                   batch["q"].to_numpy(),
                                   batch["center"].to_numpy()])})
 
-    # materialized: .count() gates the broadcast choice and the chosen
-    # branch consumes the rows — without it the lazy chain replays
     pv = bucket_agg(tri.map_batches(roles, batch_format="pandas"),
-                    ["v"], {"n_tri": ("v", "size")}).materialize()
-
-    # attach degree; vertices in no triangle surface with n_tri = 0 so
-    # the output covers the whole (deduplicated) vertex set.  The
-    # per-vertex triangle map is at most |V| ints — broadcast it when
-    # small and finish in one pass over the materialized degree table
-    if pv.count() <= broadcast_threshold:
-        pdf = pv.to_pandas()
-        tri_ref = ray.put(dict(zip(pdf["v"], pdf["n_tri"])))
-
-        def finish_b(batch: pd.DataFrame) -> pd.DataFrame:
-            tmap = ray.get(tri_ref)
-            return pd.DataFrame(
-                {"v": batch["v"].to_numpy(),
-                 "degree": batch["d"].to_numpy().astype(np.int64),
-                 "n_tri": batch["v"].map(tmap).fillna(0)
-                 .to_numpy(dtype=np.int64)})
-
-        return deg.map_batches(finish_b, batch_format="pandas")
-
-    out = hash_join(deg, pv, on=["v"], how="left",
-                    rschema={"v": vd, "n_tri": i8})
+                    ["v"], {"n_tri": ("v", "size")})
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -233,7 +195,8 @@ def triangle_counts(
              "degree": batch["d"].to_numpy().astype(np.int64),
              "n_tri": batch["n_tri"].fillna(0).to_numpy(dtype=np.int64)})
 
-    return out.map_batches(finish, batch_format="pandas")
+    return adaptive_join(deg, pv, on=["v"], how="left").map_batches(
+        finish, batch_format="pandas")
 
 
 def link_scores(
@@ -471,29 +434,23 @@ def kcore_bounded(
 
     Scale shape per round: one vertex-bucket degree count over the
     CURRENT edge set, then the low-endpoint edges are removed.  The
-    low-degree set is small by definition: under the broadcast
-    threshold (matching join.semi_join_adaptive's 500k) it ships ONCE
-    as a frozenset and BOTH endpoint anti-joins fuse into a single
-    stateless filter map kept LAZY — the next round's degree count (or
-    the final degrees pass) re-applies the stacked cheap isin filters
-    over the one materialized base instead of re-writing the edge set
-    every round, so each round costs ONE substantial Dataset job.
-    Past the threshold the round falls back to two key-bucketed
+    low-degree set is small by definition: within the broadcast rule
+    (``join.BROADCAST_ROWS``) it ships ONCE as a frozenset and BOTH
+    endpoint anti-joins fuse into a single stateless filter map kept
+    LAZY — the next round's degree count (or the final degrees pass)
+    re-applies the stacked cheap isin filters over the one
+    materialized base instead of re-writing the edge set every round,
+    so each round costs ONE substantial Dataset job.
+    Past the limit the round falls back to two key-bucketed
     hash anti-joins with a pinned edge set (no driver state at any
     size).  O(rounds) sequential exchanges worst case, same dependency
     depth as the reference-free iterative fits (WL, LPA)."""
-    from pyrdf2vec_ray.ops.join import _dtypes_of, semi_join_adaptive
-    from pyrdf2vec_ray.shuffle import bucket_agg, distinct
+    from pyrdf2vec_ray.ops.join import _dtypes_of, adaptive_join
+    from pyrdf2vec_ray.shuffle import bucket_agg
 
-    def canon(batch: pd.DataFrame) -> pd.DataFrame:
-        a = batch[a_col].to_numpy()
-        b = batch[b_col].to_numpy()
-        keep = a != b
-        a, b = a[keep], b[keep]
-        return pd.DataFrame({"a": np.minimum(a, b), "b": np.maximum(a, b)})
-
-    cur = distinct(edges.map_batches(canon, batch_format="pandas"),
-                   ["a", "b"]).materialize()
+    cur = _canon_undirected(edges, a_col, b_col)
+    if not cur.count():
+        return cur
     vd = _dtypes_of(cur, None)["a"]
 
     def ends(batch: pd.DataFrame) -> pd.DataFrame:
@@ -540,13 +497,12 @@ def kcore_bounded(
             return fn
 
         e_schema = {"a": vd, "b": vd}
-        cur = semi_join_adaptive(
+        cur = adaptive_join(
             cur, low.map_batches(as_key("a"), batch_format="pandas"),
-            on=["a"], anti=True, lschema=e_schema, rschema={"a": vd})
-        cur = semi_join_adaptive(
+            on=["a"], how="anti", lschema=e_schema)
+        cur = adaptive_join(
             cur, low.map_batches(as_key("b"), batch_format="pandas"),
-            on=["b"], anti=True, lschema=e_schema,
-            rschema={"b": vd}).materialize()
+            on=["b"], how="anti", lschema=e_schema).materialize()
 
     return degrees(cur)
 
@@ -573,14 +529,14 @@ def transitive_closure(
     :func:`kcore_bounded`'s bounded peel.
 
     Scale shape per round: the composition is a broadcast scan while
-    the relation fits the AQE budget, else one mid-vertex-bucket hash
-    join (schema-hinted, single-execution); + one pair-distinct; the
+    the relation fits ``join.BROADCAST_ROWS``, else one mid-vertex-bucket
+    hash join (``join.adaptive_join``); + one pair-distinct; the
     relation is pinned per round (it feeds both join sides and the
-    union).  Ceiling
-    is the closure ITSELF: reachability pair counts grow quadratically
-    in dense graphs — closure is for hierarchy-shaped (DAG-ish, bounded
-    fan-in) relations, not social graphs."""
-    from pyrdf2vec_ray.ops.join import _dtypes_of, hash_join
+    union).  Ceiling is the closure ITSELF: reachability pair counts
+    grow quadratically in dense graphs — closure is for
+    hierarchy-shaped (DAG-ish, bounded fan-in) relations, not social
+    graphs."""
+    from pyrdf2vec_ray.ops.join import _dtypes_of, adaptive_join
     from pyrdf2vec_ray.shuffle import distinct
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
@@ -589,8 +545,9 @@ def transitive_closure(
 
     cur = distinct(edges.map_batches(canon, batch_format="pandas"),
                    ["src", "dst"]).materialize()
+    if not cur.count():
+        return cur
     vd = _dtypes_of(cur, None)["src"]
-    pair_schema = {"src": vd, "dst": vd}
 
     for _ in range(int(rounds)):
         def as_left(batch: pd.DataFrame) -> pd.DataFrame:
@@ -601,24 +558,13 @@ def transitive_closure(
             return pd.DataFrame({"m": batch["src"].to_numpy(),
                                  "dst": batch["dst"].to_numpy()})
 
-        # composition: when the current relation fits the AQE budget,
-        # broadcast the right side and compose in a stateless scan
-        # (one exchange saved per doubling round); key-bucket join
-        # above it — the relation is materialized, so .count() is free
-        if cur.count() <= 500_000:
-            from pyrdf2vec_ray.ops.join import broadcast_join
-
-            comp = broadcast_join(
-                cur.map_batches(as_left, batch_format="pandas"),
-                cur.map_batches(as_right,
-                                batch_format="pandas").materialize(),
-                on=["m"])
-        else:
-            comp = hash_join(
-                cur.map_batches(as_left, batch_format="pandas"),
-                cur.map_batches(as_right, batch_format="pandas"),
-                on=["m"], lschema={"src": vd, "m": vd},
-                rschema={"m": vd, "dst": vd})
+        # composition: a stateless scan against the broadcast relation
+        # while it fits (one exchange saved per doubling round), a
+        # key-bucket join above it
+        comp = adaptive_join(
+            cur.map_batches(as_left, batch_format="pandas"),
+            cur.map_batches(as_right, batch_format="pandas"),
+            on=["m"], lschema={"src": vd, "m": vd})
 
         def drop_m(batch: pd.DataFrame) -> pd.DataFrame:
             out = batch[["src", "dst"]]
@@ -735,19 +681,19 @@ def bfs_distances(
     frontier starts as a tiny in-memory table and every expansion is
     distributed.
 
-    Scale shape per level: the hop is a broadcast join when the
-    frontier fits the AQE budget (the frontier is the small side by
-    construction — seeds × reached vertices — so the edge set is only
-    SCANNED, never exchanged), falling back to one mid-vertex-bucket
-    hash join of the frontier against the edge set (schema-hinted,
-    single-execution); then one fused (seed, vertex)-bucket pass that
+    Scale shape per level: the hop is one ``join.adaptive_join`` — a
+    broadcast join while the frontier fits ``join.BROADCAST_ROWS`` (the
+    frontier is the small side by construction — seeds × reached
+    vertices — so the edge set is only SCANNED, never exchanged), else
+    one mid-vertex-bucket hash join of the frontier against the edge
+    set; then one fused (seed, vertex)-bucket pass that
     both collapses parallel paths (distinct) AND drops already-settled
     vertices (anti vs visited) in the same kernel, so each vertex
     settles at its FIRST (= minimal) level — frontier and visited are
     materialized per round (they feed two consumers each).  Empty
     frontier short-circuits.  Naive frontier expansion (not doubling)
     is the right call here: distances need every level anyway."""
-    from pyrdf2vec_ray.ops.join import _dtypes_of, hash_join
+    from pyrdf2vec_ray.ops.join import adaptive_join
     from pyrdf2vec_ray.shuffle import bucket_apply
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
@@ -755,12 +701,12 @@ def bfs_distances(
                              "nxt": batch[b_col].to_numpy()})
 
     es = edges.map_batches(canon, batch_format="pandas").materialize()
-    vd = _dtypes_of(es, None)["m"]
-
     frontier = ray.data.from_pandas(pd.DataFrame(
         {"seed": np.asarray(seeds),
          "vertex": np.asarray(seeds),
          "dist": np.zeros(len(seeds), dtype=np.int64)})).materialize()
+    if not es.count():
+        return frontier   # each seed reaches only itself
     visited = frontier
     levels = [frontier]
 
@@ -769,20 +715,13 @@ def bfs_distances(
             return pd.DataFrame({"seed": batch["seed"].to_numpy(),
                                  "m": batch["vertex"].to_numpy()})
 
-        fr = frontier.map_batches(as_left, batch_format="pandas")
         # the frontier is the SMALL side at every level (seeds ×
-        # reached vertices); when it fits the broadcast budget the hop
-        # is a stateless scan of the edge set — the hash join it
-        # replaces exchanges the FULL edge set once per level
-        if frontier.count() <= 500_000:
-            from pyrdf2vec_ray.ops.join import broadcast_join
-
-            hop = broadcast_join(es, fr.materialize(), on=["m"])
-        else:
-            hop = hash_join(
-                fr, es,
-                on=["m"], lschema={"seed": vd, "m": vd},
-                rschema={"m": vd, "nxt": vd})
+        # reached vertices); broadcast, the hop is a stateless scan of
+        # the edge set — a hash join exchanges the FULL edge set once
+        # per level
+        hop = adaptive_join(
+            es, frontier.map_batches(as_left, batch_format="pandas"),
+            on=["m"])
 
         def as_cand(batch: pd.DataFrame) -> pd.DataFrame:
             # per-batch combiner: local dedup before the fused shuffle
@@ -831,7 +770,6 @@ def pagerank_rounds(
     a_col: str = "a",
     b_col: str = "b",
     num_buckets: int | None = None,
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Distributed PageRank power iteration — the SURVEY A5 scale path
     (k rounds of scores⋈edges + a dst-keyed reduce) whose vectorized
@@ -846,15 +784,15 @@ def pagerank_rounds(
     attached is materialized ONCE; the node table (name, od) likewise.
     Per round: one scalar dangling-mass reduce, one score attach over
     the pinned edges — a broadcast searchsorted map while the node
-    count is under ``broadcast_threshold`` (scores are node-scale;
-    edges are the big side), falling back to a src-keyed co-partition
+    table fits ``join.small_table`` (scores are node-scale; edges are
+    the big side), falling back to a src-keyed co-partition
     hash_join — one dst-keyed pre-combined sum, and a node-table fill
     (same adaptive choice).  Returns (name, pagerank)."""
     import pyarrow as pa
 
     import ray
 
-    from pyrdf2vec_ray.ops.join import hash_join
+    from pyrdf2vec_ray.ops.join import hash_join, small_table
     from pyrdf2vec_ray.shuffle import bucket_agg, bucket_count, distinct
     from pyrdf2vec_ray.util import to_table
 
@@ -891,17 +829,18 @@ def pagerank_rounds(
 
         return rd.from_items([])
 
-    small = n <= broadcast_threshold
+    nodes_t = small_table(nodes)
+    small = nodes_t is not None
 
     def attach_rel_od():
         """(src, dst, od) pinned once — the per-round join input."""
         if small:
-            t = to_table(nodes)
-            names = np.asarray(t["name"].to_numpy(zero_copy_only=False),
-                               dtype=np.str_)
+            names = np.asarray(
+                nodes_t["name"].to_numpy(zero_copy_only=False),
+                dtype=np.str_)
             order = np.argsort(names, kind="stable")
-            ref = ray.put((names[order],
-                           t["od"].to_numpy()[order].astype(np.float64)))
+            ref = ray.put((names[order], nodes_t["od"].to_numpy()[order]
+                           .astype(np.float64)))
 
             def am(batch: pd.DataFrame, ref=ref) -> pd.DataFrame:
                 nm, od = ray.get(ref)
@@ -1020,7 +959,6 @@ def hits_rounds(
     a_col: str = "a",
     b_col: str = "b",
     num_buckets: int | None = None,
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """UN-NORMALIZED HITS power iteration, k rounds, ALL-INTEGER —
     the bit-exact iterated counterpart of :func:`pagerank_rounds`
@@ -1037,13 +975,15 @@ def hits_rounds(
     out-degree) per round — the per-round int64 guard raises before a
     silent numpy wrap (the gini_int convention).  Per round: two
     attach+reduce passes over the once-pinned edge relation (adaptive
-    broadcast searchsorted maps under ``broadcast_threshold``,
-    key-bucket hash_join past it — same policy as pagerank_rounds).
+    broadcast searchsorted maps while the node table fits
+    ``join.BROADCAST_ROWS``, key-bucket hash_join past it — same policy
+    as pagerank_rounds).
     Returns (name, hub, authority) after ``rounds`` full rounds."""
     import pyarrow as pa
 
     import ray
 
+    from pyrdf2vec_ray.ops import join
     from pyrdf2vec_ray.ops.join import hash_join
     from pyrdf2vec_ray.shuffle import bucket_agg, distinct
     from pyrdf2vec_ray.util import to_table
@@ -1070,7 +1010,7 @@ def hits_rounds(
         import ray.data as rd
 
         return rd.from_items([])
-    small = n <= broadcast_threshold
+    small = n <= join.BROADCAST_ROWS   # the size is known already
 
     def propagate(vec: ray.data.Dataset, key: str, other: str,
                   out_name: str) -> ray.data.Dataset:
@@ -1312,18 +1252,13 @@ def mis_bounded(
     attach them); removals are key-bucket anti-joins; the edge set
     only shrinks.  O(rounds) sequential exchanges; Luby's theorem
     makes O(log n) rounds enough with high probability."""
-    from pyrdf2vec_ray.ops.join import _dtypes_of, semi_join_adaptive
-    from pyrdf2vec_ray.shuffle import bucket_agg, bucket_apply, distinct
+    from pyrdf2vec_ray.ops.join import (_dtypes_of, adaptive_join,
+                                        small_table)
+    from pyrdf2vec_ray.shuffle import bucket_agg, distinct
 
-    def canon(batch: pd.DataFrame) -> pd.DataFrame:
-        a = batch[a_col].to_numpy()
-        b = batch[b_col].to_numpy()
-        keep = a != b
-        a, b = a[keep], b[keep]
-        return pd.DataFrame({"a": np.minimum(a, b), "b": np.maximum(a, b)})
-
-    cur = distinct(edges.map_batches(canon, batch_format="pandas"),
-                   ["a", "b"]).materialize()
+    cur = _canon_undirected(edges, a_col, b_col)
+    if not cur.count():
+        return cur
     vd = _dtypes_of(cur, None)["a"]
     e_schema = {"a": vd, "b": vd}
 
@@ -1356,8 +1291,9 @@ def mis_bounded(
         # have no mins row -> unconditionally IN); the min-neighbor
         # map is one int per LIVE vertex — broadcast it when small so
         # the decision is a stateless map, else key-bucket left join
-        if mins.count() <= 500_000:
-            mdf = mins.to_pandas()
+        mt = small_table(mins)
+        if mt is not None:
+            mdf = mt.to_pandas()
             # an edge-free round yields a schema-less empty frame
             mmap0 = (dict(zip(mdf["v"], mdf["mn"].astype(np.int64)))
                      if "v" in mdf.columns else {})
@@ -1384,9 +1320,7 @@ def mis_bounded(
         else:
             from pyrdf2vec_ray.ops.join import hash_join
 
-            j = hash_join(undecided, mins, on=["v"], how="left",
-                          lschema={"v": vd},
-                          rschema={"v": vd, "mn": np.dtype("int64")})
+            j = hash_join(undecided, mins, on=["v"], how="left")
 
             def local_min(batch: pd.DataFrame) -> pd.DataFrame:
                 p = _md5_priority(batch["v"].to_numpy())
@@ -1426,14 +1360,14 @@ def mis_bounded(
                 cur.map_batches(nbrs_of_in, batch_format="pandas"),
                 ["v"]).materialize()
         else:
-            half1 = semi_join_adaptive(
+            half1 = adaptive_join(
                 cur, in_v.map_batches(tagged("v", "a"),
                                       batch_format="pandas"),
-                on=["a"], lschema=e_schema, rschema={"a": vd})
-            half2 = semi_join_adaptive(
+                on=["a"], how="semi", lschema=e_schema)
+            half2 = adaptive_join(
                 cur, in_v.map_batches(tagged("v", "b"),
                                       batch_format="pandas"),
-                on=["b"], lschema=e_schema, rschema={"b": vd})
+                on=["b"], how="semi", lschema=e_schema)
             out_v = distinct(
                 half1.map_batches(tagged("b", "v"),
                                   batch_format="pandas")
@@ -1469,19 +1403,17 @@ def mis_bounded(
             continue
 
         decided = in_v.union(out_v)
-        undecided = semi_join_adaptive(
-            undecided, decided, on=["v"], anti=True,
-            lschema={"v": vd}, rschema={"v": vd}).materialize()
+        undecided = adaptive_join(
+            undecided, decided, on=["v"], how="anti").materialize()
         if rnd + 1 < rounds:  # final round never reads the edge set
-            cur = semi_join_adaptive(
+            cur = adaptive_join(
                 cur, undecided.map_batches(tagged("v", "a"),
                                            batch_format="pandas"),
-                on=["a"], lschema=e_schema, rschema={"a": vd})
-            cur = semi_join_adaptive(
+                on=["a"], how="semi", lschema=e_schema)
+            cur = adaptive_join(
                 cur, undecided.map_batches(tagged("v", "b"),
                                            batch_format="pandas"),
-                on=["b"], lschema=e_schema,
-                rschema={"b": vd}).materialize()
+                on=["b"], how="semi", lschema=e_schema).materialize()
 
     def label(s):
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1630,7 +1562,7 @@ def neighbor_jaccard(
     the capped-source degree map fits the broadcast, else two
     key-bucket joins), bounded top-k tree — no global sort."""
     from pyrdf2vec_ray.ops.agg import global_topn
-    from pyrdf2vec_ray.ops.join import hash_join, semi_join_adaptive
+    from pyrdf2vec_ray.ops.join import adaptive_join, hash_join, small_table
     from pyrdf2vec_ray.shuffle import bucket_agg, bucket_apply, distinct
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1651,9 +1583,9 @@ def neighbor_jaccard(
     def high_fan(batch: pd.DataFrame) -> pd.DataFrame:
         return batch[batch["fi"] > max_fanin][["b"]].copy()
 
-    kept = semi_join_adaptive(
+    kept = adaptive_join(
         e, fanin.map_batches(high_fan, batch_format="pandas"),
-        on=["b"], anti=True,
+        on=["b"], how="anti",
     ).materialize()
 
     # consumed twice (u- and v-side attach): materialize once so the
@@ -1673,12 +1605,12 @@ def neighbor_jaccard(
     )
 
     # degree attach: the map is one int per CAPPED source vertex; when
-    # it fits the same adaptive-broadcast budget the AQE joins use,
-    # ship it once via ray.put and attach both sides in one stateless
-    # map (zero exchanges on 915k+ pairs) — else the key-bucket joins
-    broadcast_threshold = 2_000_000
-    if deg.count() <= broadcast_threshold:
-        dt = deg.to_pandas()
+    # it fits the broadcast rule, ship it once via ray.put and attach
+    # both sides in one stateless map (zero exchanges on 915k+ pairs)
+    # — else the key-bucket joins
+    dt = small_table(deg)
+    if dt is not None:
+        dt = dt.to_pandas()
         dmap_ref = ray.put(dict(zip(dt["a"], dt["deg"].astype(np.int64))))
 
         def attach(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1837,11 +1769,10 @@ def betweenness_sampled(
     (frontier-scale) successor table against the reversed edge scan,
     one inner join onto the level's σ table, one (seed, vertex)-bucket
     sum.  2·depth exchanges total; the edge set is scanned, never
-    exchanged, while frontiers fit the broadcast budget.  δ is
+    exchanged, while frontiers fit ``join.BROADCAST_ROWS``.  δ is
     float64 — summation grouping may differ from a sequential oracle
     by ulps (rounded comparisons only)."""
-    from pyrdf2vec_ray.ops.join import (_dtypes_of, broadcast_join,
-                                        hash_join)
+    from pyrdf2vec_ray.ops.join import _dtypes_of, adaptive_join, hash_join
     from pyrdf2vec_ray.shuffle import bucket_agg, bucket_apply
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1849,7 +1780,8 @@ def betweenness_sampled(
                              "nxt": batch[b_col].to_numpy()})
 
     es = edges.map_batches(canon, batch_format="pandas").materialize()
-    vd = _dtypes_of(es, None)["m"]
+    # a zero-row Dataset has no schema (no edge, no backward pass)
+    vd = _dtypes_of(es, None)["m"] if es.count() else np.dtype("O")
     f8 = np.dtype("float64")
     i8 = np.dtype("int64")
 
@@ -1865,14 +1797,9 @@ def betweenness_sampled(
                                  "m": batch["vertex"].to_numpy(),
                                  "sigma": batch["sigma"].to_numpy()})
 
-        fr = frontier.map_batches(as_left, batch_format="pandas")
-        if frontier.count() <= 500_000:
-            hop = broadcast_join(es, fr.materialize(), on=["m"])
-        else:
-            hop = hash_join(
-                fr, es, on=["m"], num_buckets=num_buckets,
-                lschema={"seed": vd, "m": vd, "sigma": i8},
-                rschema={"m": vd, "nxt": vd})
+        hop = adaptive_join(
+            es, frontier.map_batches(as_left, batch_format="pandas"),
+            on=["m"], num_buckets=num_buckets)
 
         def as_cand(batch: pd.DataFrame) -> pd.DataFrame:
             # combiner: pre-sum parallel-path sigma per (seed, vertex)
@@ -1939,14 +1866,9 @@ def betweenness_sampled(
                  "sw": batch["sigma"].to_numpy(np.float64),
                  "dw": batch["delta"].to_numpy(np.float64)})
 
-        su = nxt.map_batches(as_succ, batch_format="pandas")
-        if nxt.count() <= 500_000:
-            back = broadcast_join(rev, su.materialize(), on=["w"])
-        else:
-            back = hash_join(
-                su, rev, on=["w"], num_buckets=num_buckets,
-                lschema={"seed": vd, "w": vd, "sw": f8, "dw": f8},
-                rschema={"w": vd, "v": vd})
+        back = adaptive_join(
+            rev, nxt.map_batches(as_succ, batch_format="pandas"),
+            on=["w"], num_buckets=num_buckets)
 
         def as_term(batch: pd.DataFrame) -> pd.DataFrame:
             part = pd.DataFrame(
@@ -2019,15 +1941,14 @@ def weighted_distances(
 
     Distributed shape per round: one adaptive join of the
     (seed-frontier-scale) tentative-distance table against the edge
-    scan (broadcast under the AQE budget — the edge set is scanned,
-    never exchanged), then ONE (seed, vertex)-bucket min-reduce of
+    scan (broadcast within ``join.BROADCAST_ROWS`` — the edge set is
+    scanned, never exchanged), then ONE (seed, vertex)-bucket min-reduce of
     the candidate ∪ current rows with a per-batch min combiner.
     Distances are exact int64 — no float accumulation anywhere.
     Rows only ever improve; a round with no improvements still costs
     its exchange (no convergence short-circuit across rounds is
     attempted — `rounds` is caller-bounded and small)."""
-    from pyrdf2vec_ray.ops.join import (_dtypes_of, broadcast_join,
-                                        hash_join)
+    from pyrdf2vec_ray.ops.join import adaptive_join
     from pyrdf2vec_ray.shuffle import bucket_agg
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2040,9 +1961,6 @@ def weighted_distances(
                              "w": w})
 
     es = edges.map_batches(canon, batch_format="pandas").materialize()
-    vd = _dtypes_of(es, None)["m"]
-    i8 = np.dtype("int64")
-
     dist = ray.data.from_pandas(pd.DataFrame(
         {"seed": np.asarray(seeds), "vertex": np.asarray(seeds),
          "dist": np.zeros(len(seeds), dtype=np.int64)})).materialize()
@@ -2053,14 +1971,9 @@ def weighted_distances(
                                  "m": batch["vertex"].to_numpy(),
                                  "dist": batch["dist"].to_numpy()})
 
-        fr = dist.map_batches(as_left, batch_format="pandas")
-        if dist.count() <= 500_000:
-            hop = broadcast_join(es, fr.materialize(), on=["m"])
-        else:
-            hop = hash_join(
-                fr, es, on=["m"], num_buckets=num_buckets,
-                lschema={"seed": vd, "m": vd, "dist": i8},
-                rschema={"m": vd, "nxt": vd, "w": i8})
+        hop = adaptive_join(
+            es, dist.map_batches(as_left, batch_format="pandas"),
+            on=["m"], num_buckets=num_buckets)
 
         def as_cand(batch: pd.DataFrame) -> pd.DataFrame:
             part = pd.DataFrame(
@@ -2079,35 +1992,14 @@ def weighted_distances(
     return dist
 
 
-def modularity(
-    edges: ray.data.Dataset,
-    labels: ray.data.Dataset,
-    a_col: str = "a",
-    b_col: str = "b",
-    node_col: str = "node",
-    label_col: str = "label",
-    broadcast_threshold: int = 2_000_000,
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """Newman modularity of a node partition — THE quality number for
-    a community assignment (LPA / Louvain outputs, or any attribute
-    partition):  ``Q = Σ_c ( m_c/m − (d_c/2m)² )`` over communities c,
-    with m = undirected edge count, m_c = intra-community edges, d_c =
-    total degree of c's members.  Reported as the EXACT rational
-    ``q_num / q_den`` with ``q_num = Σ_c (4·m·m_c − d_c²)``,
-    ``q_den = 4m²`` — all int64, engine-independent (bound: 4m² and
-    each d_c² must fit int64, i.e. m < ~1.5·10⁹ — stated, like
-    gini_int); ``modularity`` is the float64 division of the two.
-
-    Input edges may be directed/duplicated — they canonicalize to the
-    distinct unordered pair set first (self-loops dropped).  Scale
-    shape: ONE pair-distinct, label attach per endpoint (broadcast
-    while the label table is under ``broadcast_threshold``, else two
-    co-partitioning hash joins), then community-scale reduces for m_c
-    and d_c and a single-row fold over the COMMUNITY table (bounded by
-    the partition's class count — community-scale by definition)."""
-    from pyrdf2vec_ray.ops.join import broadcast_join, hash_join
-    from pyrdf2vec_ray.shuffle import bucket_agg, distinct
+def _label_edges(edges, labels, a_col, b_col, node_col, label_col,
+                 num_buckets, op):
+    """The size ``m`` of the distinct undirected edge set ``(u, v)``
+    (u < v, self-loops dropped), and those edges with both endpoints'
+    labels attached as ``(u, v, l_u, l_v)`` — one adaptive join per
+    endpoint against the deduplicated label table."""
+    from pyrdf2vec_ray.ops.join import adaptive_join
+    from pyrdf2vec_ray.shuffle import distinct
 
     def canon(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch[a_col].to_numpy()
@@ -2123,7 +2015,7 @@ def modularity(
         num_buckets=num_buckets).materialize()
     m = und.count()
     if m == 0:
-        raise ValueError("modularity needs at least one edge")
+        raise ValueError(f"{op} needs at least one edge")
 
     # one row per node — a duplicated label row would MULTIPLY every
     # incident edge through the attach join, so dedup here (label-
@@ -2131,24 +2023,51 @@ def modularity(
     lab = distinct(labels.select_columns([node_col, label_col]),
                    [node_col, label_col],
                    num_buckets=num_buckets).materialize()
-    small = lab.count() <= broadcast_threshold
+    o = np.dtype("O")
 
-    def attach(ds, side):
+    def attach(ds, side, have):
         ren = lab.map_batches(
             lambda b, _s=side: pd.DataFrame(
                 {_s: b[node_col].to_numpy(),
                  f"l_{_s}": b[label_col].to_numpy()}),
             batch_format="pandas")
-        if small:
-            return broadcast_join(ds, ren, on=[side])
-        o = np.dtype("O")
-        return hash_join(ds, ren, on=[side], num_buckets=num_buckets,
-                         lschema={c: o for c in
-                                  (["u", "v"] if side == "u"
-                                   else ["u", "v", "l_u"])},
-                         rschema={side: o, f"l_{side}": o})
+        return adaptive_join(ds, ren, on=[side], num_buckets=num_buckets,
+                             lschema={c: o for c in have})
 
-    lu = attach(attach(und, "u"), "v")
+    lu = attach(attach(und, "u", ["u", "v"]), "v", ["u", "v", "l_u"])
+    return m, lu
+
+
+def modularity(
+    edges: ray.data.Dataset,
+    labels: ray.data.Dataset,
+    a_col: str = "a",
+    b_col: str = "b",
+    node_col: str = "node",
+    label_col: str = "label",
+    num_buckets: int | None = None,
+) -> ray.data.Dataset:
+    """Newman modularity of a node partition — THE quality number for
+    a community assignment (LPA / Louvain outputs, or any attribute
+    partition):  ``Q = Σ_c ( m_c/m − (d_c/2m)² )`` over communities c,
+    with m = undirected edge count, m_c = intra-community edges, d_c =
+    total degree of c's members.  Reported as the EXACT rational
+    ``q_num / q_den`` with ``q_num = Σ_c (4·m·m_c − d_c²)``,
+    ``q_den = 4m²`` — all int64, engine-independent (bound: 4m² and
+    each d_c² must fit int64, i.e. m < ~1.5·10⁹ — stated, like
+    gini_int); ``modularity`` is the float64 division of the two.
+
+    Input edges may be directed/duplicated — they canonicalize to the
+    distinct unordered pair set first (self-loops dropped).  Scale
+    shape: ONE pair-distinct, label attach per endpoint (one
+    ``join.adaptive_join`` each: broadcast while the label table fits,
+    else a co-partitioning hash join), then community-scale reduces for m_c
+    and d_c and a single-row fold over the COMMUNITY table (bounded by
+    the partition's class count — community-scale by definition)."""
+    from pyrdf2vec_ray.shuffle import bucket_agg
+
+    m, lu = _label_edges(edges, labels, a_col, b_col, node_col,
+                         label_col, num_buckets, "modularity")
 
     def intra(batch: pd.DataFrame) -> pd.DataFrame:
         sub = batch[batch["l_u"] == batch["l_v"]]
@@ -2189,112 +2108,17 @@ def modularity(
     }))
 
 
-def _edge_support(
-    e: ray.data.Dataset,
-    vd,
-    broadcast_threshold: int = 2_000_000,
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
+def _edge_support(e: ray.data.Dataset,
+                  num_buckets: int | None = None) -> ray.data.Dataset:
     """Per-EDGE triangle support over a canonical distinct undirected
     edge set ``(a, b)`` with a < b (the edge-attributed sibling of
-    `triangle_counts`' per-vertex counts): degree-oriented wedge
-    closing enumerates each triangle once at O(m^1.5), then the
-    triangle explodes to its three canonical edges and ONE edge-bucket
-    count gives ``(a, b, support)`` — edges in no triangle are absent
+    `triangle_counts`' per-vertex counts): each :func:`_triangles` row
+    explodes to its three canonical edges and ONE edge-bucket count
+    gives ``(a, b, support)`` — edges in no triangle are absent
     (support 0 by convention at the caller)."""
-    from pyrdf2vec_ray.ops.join import hash_join
-    from pyrdf2vec_ray.shuffle import bucket_agg, bucket_apply
+    from pyrdf2vec_ray.shuffle import bucket_agg
 
-    i8 = np.dtype("int64")
-
-    def ends(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"v": np.concatenate([batch["a"].to_numpy(),
-                                  batch["b"].to_numpy()])})
-
-    deg = bucket_agg(e.map_batches(ends, batch_format="pandas"),
-                     ["v"], {"d": ("v", "size")},
-                     num_buckets=num_buckets).materialize()
-    if deg.count() <= broadcast_threshold:
-        ddf = deg.to_pandas()
-        deg_ref = ray.put(dict(zip(ddf["v"], ddf["d"].astype(np.int64))))
-
-        def attach_deg(batch: pd.DataFrame) -> pd.DataFrame:
-            dmap = ray.get(deg_ref)
-            out = batch.copy()
-            out["da"] = out["a"].map(dmap).astype(np.int64)
-            out["db"] = out["b"].map(dmap).astype(np.int64)
-            return out
-
-        eab = e.map_batches(attach_deg, batch_format="pandas")
-    else:
-        def rnm(nv, nd):
-            def fn(batch: pd.DataFrame) -> pd.DataFrame:
-                return batch.rename(columns={"v": nv, "d": nd})
-            return fn
-
-        ea = hash_join(e, deg.map_batches(rnm("a", "da"),
-                                          batch_format="pandas"),
-                       on=["a"], num_buckets=num_buckets,
-                       lschema={"a": vd, "b": vd},
-                       rschema={"a": vd, "da": i8})
-        eab = hash_join(ea, deg.map_batches(rnm("b", "db"),
-                                            batch_format="pandas"),
-                        on=["b"], num_buckets=num_buckets,
-                        lschema={"a": vd, "b": vd, "da": i8},
-                        rschema={"b": vd, "db": i8})
-
-    def orient(batch: pd.DataFrame) -> pd.DataFrame:
-        da = batch["da"].to_numpy()
-        db = batch["db"].to_numpy()
-        a = batch["a"].to_numpy()
-        b = batch["b"].to_numpy()
-        fwd = (da < db) | ((da == db) & (a < b))
-        return pd.DataFrame(
-            {"u": np.where(fwd, a, b), "w": np.where(fwd, b, a),
-             "dw": np.where(fwd, db, da)})
-
-    de = eab.map_batches(orient, batch_format="pandas").materialize()
-
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        m = g[["u", "w", "dw"]]
-        j = m.merge(m, on="u", suffixes=("_1", "_2"))
-        keep = (j["dw_1"] < j["dw_2"]) | (
-            (j["dw_1"] == j["dw_2"]) & (j["w_1"] < j["w_2"]))
-        j = j[keep]
-        return pd.DataFrame({"p": j["w_1"].to_numpy(),
-                             "q": j["w_2"].to_numpy(),
-                             "center": j["u"].to_numpy()})
-
-    wed = bucket_apply(de, ["u"], wedges, num_buckets=num_buckets,
-                       batch_format="pandas")
-
-    if de.count() <= broadcast_threshold:
-        dedf = de.to_pandas()
-        pair_ref = ray.put(frozenset(zip(dedf["u"], dedf["w"])))
-
-        def close(batch: pd.DataFrame) -> pd.DataFrame:
-            pairs_set = ray.get(pair_ref)
-            if not len(batch):
-                return batch
-            mask = np.fromiter(
-                (pq in pairs_set
-                 for pq in zip(batch["p"].to_numpy(),
-                               batch["q"].to_numpy())),
-                dtype=bool, count=len(batch))
-            return batch[mask]
-
-        tri = wed.map_batches(close, batch_format="pandas")
-    else:
-        def as_pq(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"p": batch["u"].to_numpy(),
-                                 "q": batch["w"].to_numpy()})
-
-        tri = hash_join(wed,
-                        de.map_batches(as_pq, batch_format="pandas"),
-                        on=["p", "q"], num_buckets=num_buckets,
-                        lschema={"p": vd, "q": vd, "center": vd},
-                        rschema={"p": vd, "q": vd})
+    tri, _deg = _triangles(e, num_buckets)
 
     def tri_edges(batch: pd.DataFrame) -> pd.DataFrame:
         p = batch["p"].to_numpy()
@@ -2319,7 +2143,6 @@ def ktruss_bounded(
     rounds: int = 3,
     a_col: str = "a",
     b_col: str = "b",
-    broadcast_threshold: int = 2_000_000,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Bounded k-truss: iteratively delete every edge in fewer than
@@ -2333,32 +2156,22 @@ def ktruss_bounded(
     contract, exactly `kcore_bounded`'s).
 
     Per round: one `_edge_support` pass (degree-oriented wedge closing,
-    O(m^1.5) wedge volume, adaptive broadcast attach/close under the
-    AQE budget) + a vectorized support filter; edge sets are
+    O(m^1.5) wedge volume, adaptive broadcast attach/close within
+    ``join.BROADCAST_ROWS``) + a vectorized support filter; edge sets are
     materialized per round (they feed the next round's degree count
     AND the convergence check)."""
     if k < 3:
         raise ValueError(f"k must be >= 3 for a meaningful truss, "
                          f"got {k}")
-    from pyrdf2vec_ray.ops.join import _dtypes_of
-    from pyrdf2vec_ray.shuffle import distinct
-
-    def canon(batch: pd.DataFrame) -> pd.DataFrame:
-        a = batch[a_col].to_numpy()
-        b = batch[b_col].to_numpy()
-        keep = a != b
-        a, b = a[keep], b[keep]
-        return pd.DataFrame({"a": np.minimum(a, b),
-                             "b": np.maximum(a, b)})
-
-    e = distinct(edges.map_batches(canon, batch_format="pandas"),
-                 ["a", "b"], num_buckets=num_buckets).materialize()
-    vd = _dtypes_of(e, None)["a"]
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    e = _canon_undirected(edges, a_col, b_col, num_buckets)
     n_prev = e.count()
-    sup = None
+    sup = e
     for _r in range(int(rounds)):
-        sup = _edge_support(e, vd, broadcast_threshold,
-                            num_buckets).materialize()
+        if not n_prev:
+            break   # nothing left to peel
+        sup = _edge_support(e, num_buckets).materialize()
 
         def keep_fn(batch: pd.DataFrame, _k=k) -> pd.DataFrame:
             return batch[batch["support"].to_numpy(np.int64)
@@ -2373,8 +2186,6 @@ def ktruss_bounded(
         if n_now == n_prev:
             break
         n_prev = n_now
-    if sup is None:
-        raise ValueError("rounds must be >= 1")
     return sup
 
 
@@ -2385,7 +2196,6 @@ def conductance(
     b_col: str = "b",
     node_col: str = "node",
     label_col: str = "label",
-    broadcast_threshold: int = 2_000_000,
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Per-community cut quality — the class-level detail view of
@@ -2400,44 +2210,10 @@ def conductance(
     Same distributed shape as modularity: ONE pair-distinct, adaptive
     label attach (the label table dedups defensively), community-scale
     reduces; the output is class-count-sized."""
-    from pyrdf2vec_ray.ops.join import broadcast_join, hash_join
-    from pyrdf2vec_ray.shuffle import bucket_agg, distinct
+    from pyrdf2vec_ray.shuffle import bucket_agg
 
-    def canon(batch: pd.DataFrame) -> pd.DataFrame:
-        a = batch[a_col].to_numpy()
-        b = batch[b_col].to_numpy()
-        keep = a != b
-        a, b = a[keep], b[keep]
-        lo = np.where(a < b, a, b)
-        hi = np.where(a < b, b, a)
-        return pd.DataFrame({"u": lo, "v": hi}).drop_duplicates()
-
-    und = distinct(
-        edges.map_batches(canon, batch_format="pandas"), ["u", "v"],
-        num_buckets=num_buckets).materialize()
-    m = und.count()
-    if m == 0:
-        raise ValueError("conductance needs at least one edge")
-
-    lab = distinct(labels.select_columns([node_col, label_col]),
-                   [node_col, label_col],
-                   num_buckets=num_buckets).materialize()
-    small = lab.count() <= broadcast_threshold
-
-    def attach(ds, side, have):
-        ren = lab.map_batches(
-            lambda b, _s=side: pd.DataFrame(
-                {_s: b[node_col].to_numpy(),
-                 f"l_{_s}": b[label_col].to_numpy()}),
-            batch_format="pandas")
-        if small:
-            return broadcast_join(ds, ren, on=[side])
-        o = np.dtype("O")
-        return hash_join(ds, ren, on=[side], num_buckets=num_buckets,
-                         lschema={c: o for c in have},
-                         rschema={side: o, f"l_{side}": o})
-
-    lu = attach(attach(und, "u", ["u", "v"]), "v", ["u", "v", "l_u"])
+    m, lu = _label_edges(edges, labels, a_col, b_col, node_col,
+                         label_col, num_buckets, "conductance")
 
     def per_edge(batch: pd.DataFrame) -> pd.DataFrame:
         intra = (batch["l_u"] == batch["l_v"]).to_numpy()

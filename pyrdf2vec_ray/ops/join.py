@@ -12,9 +12,9 @@ key co-locate, so per-bucket merges compose to the exact global join.
 
 Skew: a hot key's rows all land in one bucket — the usual contract
 (callers salt hot keys or pre-aggregate; see shuffle.py docstring).
-Broadcast joins stay the right call when one side is small
-(stages/link.CandidateIndex); this operator is for the
-both-sides-large case.
+When one side is small a broadcast join is the right call: one rule,
+:data:`BROADCAST_ROWS` checked by :func:`small_table`, picks between
+the two, and :func:`adaptive_join` applies it.
 """
 
 from __future__ import annotations
@@ -335,66 +335,77 @@ def diff_tables(
                         num_buckets=num_buckets, batch_format="pandas")
 
 
-def semi_join_adaptive(
+BROADCAST_ROWS = 500_000
+"""The one broadcast rule: a join side of at most this many rows ships
+to every task of the other side (``ray.put`` once, a stateless map, no
+exchange); a larger side goes through a hash shuffle."""
+
+
+def small_table(ds: ray.data.Dataset) -> pa.Table | None:
+    """A MATERIALIZED ``ds`` as one Arrow table when it holds at most
+    :data:`BROADCAST_ROWS` rows, else ``None`` — the caller then takes
+    its hash-shuffle path.  The row count of a materialized Dataset is
+    block metadata, so the check runs no job."""
+    if ds.count() > BROADCAST_ROWS:
+        return None
+    from pyrdf2vec_ray.util import to_table
+
+    return to_table(ds)
+
+
+def adaptive_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     on: list[str],
-    anti: bool = False,
-    broadcast_threshold: int = 500_000,
+    how: str = "inner",
     num_buckets: int | None = None,
     lschema=None,
-    rschema=None,
 ) -> ray.data.Dataset:
-    """Semi/anti-join with the AQE strategy of the BGP chain applied to
-    membership filtering: ``right`` is materialized, and when its
-    distinct single-key count is under ``broadcast_threshold`` the key
-    set broadcasts once (``ray.put`` of a frozenset) and the left side
-    filters in a stateless map — ZERO shuffles for the hop — else
-    falls back to :func:`hash_semi_join` (both sides exchange once,
-    no driver state at any size).  Iterative graph algorithms
-    (MIS/k-core round removals) spend most of their wall-time in these
-    barriers at small-intermediate sizes, which is what this removes.
+    """Equi-join (``how`` ∈ {"inner", "left"}) or semi/anti-join
+    (``"semi"``/``"anti"``: left rows with/without a key match, left
+    columns only) that picks its plan by :func:`small_table`: ``right``
+    is materialized, and when it fits :data:`BROADCAST_ROWS` it ships
+    once and ``left`` merges (or filters) against it in a stateless map
+    — zero shuffles.  Otherwise the join is :func:`hash_join` /
+    :func:`hash_semi_join`: both sides exchange once, no driver state.
+    Pass the smaller side as ``right``; ``lschema`` is the schema hint
+    of a lazy ``left`` (see :func:`_dtypes_of`).  Column order follows
+    the plan: ``left``'s columns then ``right``'s when broadcast, the
+    key columns first when hashed."""
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError("how must be 'inner', 'left', 'semi' or 'anti'")
+    semi = how in ("semi", "anti")
+    if semi:
+        # a semi-join needs right's keys only; one Arrow block type
+        # also keeps Ray's block-type inference happy when the caller
+        # unions pandas- and arrow-block Datasets
+        def keys_of(batch: pa.Table) -> pa.Table:
+            if batch.num_rows or set(on) <= set(batch.schema.names):
+                return batch.select(on)
+            # an EMPTY upstream reaches the UDF as a schema-less probe
+            return pa.table({k: pa.array([], pa.string()) for k in on})
 
-    Single-key only (the common case); multi-key callers use
-    :func:`hash_semi_join` directly."""
-    if len(on) != 1:
-        return hash_semi_join(left, right, on=on, anti=anti,
-                              num_buckets=num_buckets,
-                              lschema=lschema, rschema=rschema)
-    key = on[0]
-
-    # normalize to ONE block type before materializing: callers often
-    # union pandas- and arrow-block datasets (e.g. a filtered map
-    # unioned with a distinct), and mixed blocks trip Ray's
-    # block-type inference on consumption
-    def norm(batch: pa.Table) -> pa.Table:
-        if key in batch.schema.names:
-            return batch.select([key])
-        if batch.num_rows == 0:
-            # an EMPTY upstream dataset reaches the UDF as a
-            # schema-less probe batch; emit a typed empty column so
-            # materialize/count see one schema (the declared type is
-            # moot — the dataset has no other blocks)
-            return pa.table({key: pa.array([], type=pa.string())})
-        raise KeyError(f"join key {key!r} missing from right side")
-
-    right = right.map_batches(norm,
-                              batch_format="pyarrow").materialize()
-    if right.count() > broadcast_threshold:
-        return hash_semi_join(left, right, on=on, anti=anti,
-                              num_buckets=num_buckets,
-                              lschema=lschema, rschema=rschema)
-    import ray as _ray
-
-    from pyrdf2vec_ray.util import to_table
-
-    tbl = to_table(right)
-    kset = (frozenset(tbl.column(key).to_pylist())
-            if key in tbl.schema.names else frozenset())
-    ref = _ray.put(kset)
+        right = right.map_batches(keys_of, batch_format="pyarrow")
+    right = right.materialize()
+    small = small_table(right)
+    if small is None:
+        if semi:
+            return hash_semi_join(left, right, on=on, anti=how == "anti",
+                                  num_buckets=num_buckets, lschema=lschema)
+        return hash_join(left, right, on=on, how=how,
+                         num_buckets=num_buckets, lschema=lschema)
+    if not semi:
+        return broadcast_join(left, small, on=on, how=how)
+    keys = small.to_pandas()
+    ref = ray.put(_key_index(keys, on) if len(keys) else pd.Index([]))
 
     def filt(batch: pd.DataFrame) -> pd.DataFrame:
-        mask = batch[key].isin(_ray.get(ref))
-        return batch[~mask] if anti else batch[mask]
+        hit = _key_index(batch, on).isin(ray.get(ref))
+        return batch[~hit] if how == "anti" else batch[hit]
 
     return left.map_batches(filt, batch_format="pandas")
+
+
+def _key_index(df: pd.DataFrame, on: list[str]) -> pd.Index:
+    return (pd.Index(df[on[0]]) if len(on) == 1
+            else pd.MultiIndex.from_frame(df[on]))

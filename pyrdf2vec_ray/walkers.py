@@ -268,21 +268,34 @@ def _build_keep_shard(part_dir: str) -> np.ndarray:
     return s.to_numpy().astype(np.str_)          # U-dtype: zero-copy put
 
 
+class _TempDir:
+    """A fresh temp dir, removed when this object is collected (or at
+    exit).  Only the driver's instance removes it: a pickled copy — the
+    walk UDF that holds one ships to workers — carries the path only."""
+
+    def __init__(self, prefix: str):
+        import shutil
+        import tempfile
+        import weakref
+
+        self.path = tempfile.mkdtemp(prefix=prefix)
+        weakref.finalize(self, shutil.rmtree, self.path, True)
+
+
 def build_keepset_refs(
     entities_ds: "ray.data.Dataset",
     num_shards: int = 8,
-    scratch_dir: str | None = None,
 ) -> tuple:
     """Roots Dataset → (tuple of per-shard sorted-name array refs — the
-    ShardedKeepSet halves — , parquet root dir), via the same
-    shuffle-by-write used for the sharded graph: partitioned parquet by
-    crc32(entity), one build task per shard — the driver streams and
-    never holds the root list.  The parquet root doubles as the
+    ShardedKeepSet halves — , the :class:`_TempDir` of the parquet), via
+    the same shuffle-by-write used for the sharded graph: partitioned
+    parquet by crc32(entity), one build task per shard — the driver
+    streams and never holds the root list.  The parquet doubles as the
     SHARD-ROUTED walk input: its fragments are shard-pure, so reading
-    it back yields entity batches already grouped by owner shard."""
-    import tempfile
-
-    root = scratch_dir or tempfile.mkdtemp(prefix="keepset_")
+    it back yields entity batches already grouped by owner shard.  The
+    dir lives as long as the returned object; a reader keeps it."""
+    keep_dir = _TempDir("keepset_")
+    root = keep_dir.path
 
     def add_shard(batch: pa.Table) -> pa.Table:
         return batch.select(["entity"]).append_column(
@@ -297,7 +310,7 @@ def build_keepset_refs(
         for s in range(num_shards)
     ]
     ray.wait(refs, num_returns=num_shards, fetch_local=False)
-    return tuple(refs), root
+    return tuple(refs), keep_dir
 
 
 _EXTRACTOR_CACHE: dict = {}
@@ -354,11 +367,13 @@ def extract_walks(
         # ShardedLocalGraph in each task resolves its batch's owner
         # shard plus the shards its hops cross — O(graph/S + touched)
         # resident per worker, not all 2·S shard arrays.
-        entities_ref, keep_root = build_keepset_refs(
+        entities_ref, keep_dir = build_keepset_refs(
             entities.select_columns(["entity"]), num_shards=gi.num_shards
         )
-        ents_ds = ray.data.read_parquet(keep_root).select_columns(["entity"])
+        ents_ds = ray.data.read_parquet(keep_dir.path).select_columns(
+            ["entity"])
     else:
+        keep_dir = None
         entities_ref = ray.put(frozenset(entities))
         ents_ds = ray.data.from_arrow(
             pa.table({"entity": pa.array(entities, pa.string())})
@@ -407,7 +422,9 @@ def extract_walks(
         "custom_fn": custom_fn,
     }
 
-    def walk_batch(batch: pa.Table) -> pa.Table:
+    # the UDF holds the keep-set dir, so the dir lives exactly as long
+    # as some Dataset that reads these walks
+    def walk_batch(batch: pa.Table, _keep_dir=keep_dir) -> pa.Table:
         extractor = _EXTRACTOR_CACHE.get(key)
         if extractor is None:
             extractor = WalkExtractor(**kwargs)

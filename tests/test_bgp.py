@@ -252,12 +252,11 @@ _SIX = [("?o", "placed_by", "?c"), ("?c", "in_nation", "?n"),
 
 
 def test_join_plans_agree_with_duckdb(monkeypatch):
-    """Every join plan — scan broadcast (default threshold), acc
-    broadcast then hash join (threshold 1), hash join only (0) — and
-    every pattern order returns the DuckDB self-join's solution set."""
+    """Every join plan — scan broadcast (default limit), acc broadcast
+    then hash join (limit 1), hash join only (0) — and every pattern
+    order returns the DuckDB self-join's solution set."""
     import duckdb
 
-    import pyrdf2vec_ray.ops.bgp as bgp_mod
     import pyrdf2vec_ray.ops.join as join_mod
 
     tri = _tpch_like_triples()
@@ -278,28 +277,45 @@ def test_join_plans_agree_with_duckdb(monkeypatch):
     assert want
 
     plans: list[str] = []
-    real_bc, real_hj = join_mod.broadcast_join, bgp_mod.hash_join
+    real_bc, real_small = join_mod.broadcast_join, join_mod.small_table
 
     def bc(left, right, **kw):
-        plans.append("scan" if isinstance(right, pa.Table) else "acc")
+        # a broadcast the accumulating solutions decided was logged
+        # by small_table below
+        if not plans or plans[-1] != "acc":
+            plans.append("scan")
         return real_bc(left, right, **kw)
 
-    def hj(left, right, **kw):
-        plans.append("hash")
-        return real_hj(left, right, **kw)
+    def small(ds):
+        t = real_small(ds)
+        plans.append("acc" if t is not None else "hash")
+        return t
 
     monkeypatch.setattr(join_mod, "broadcast_join", bc)
-    monkeypatch.setattr(bgp_mod, "hash_join", hj)
+    monkeypatch.setattr(join_mod, "small_table", small)
     six = [(s, p, o.format(r=region)) for s, p, o in _SIX]
     ds = ray.data.from_pandas(tri)
-    for threshold, expect in ((200_000, {"scan"}), (1, None),
-                              (0, {"hash"})):
+    for limit, expect in ((join_mod.BROADCAST_ROWS, {"scan"}), (1, None),
+                          (0, {"hash"})):
+        monkeypatch.setattr(join_mod, "BROADCAST_ROWS", limit)
         for pats in (six, six[::-1], six[3:] + six[:3]):
             plans.clear()
-            out = bgp_match(ds, pats, broadcast_threshold=threshold)
+            out = bgp_match(ds, pats)
             assert _rows(out, ["o", "c", "n", "p", "s"]) == want
             if expect is not None:
                 assert set(plans) == expect
             else:
                 # the single-row seed broadcasts, the rest hash-join
                 assert plans[0] == "acc" and "hash" in plans
+
+
+def test_six_pattern_job_count(ray_jobs):
+    """The kg-query six-pattern shape runs a fixed number of Ray Data
+    jobs: the pinned multiplexed scan, the per-pattern row counts, the
+    collect of the small scans, and the count of the broadcast chain."""
+    ds = ray.data.from_pandas(_tpch_like_triples()).materialize()
+    six = [(s, p, o.format(r=2)) for s, p, o in _SIX]
+    with ray_jobs() as jobs:
+        n = bgp_match(ds, six).count()
+    assert n > 0
+    assert jobs.count == 4

@@ -99,16 +99,18 @@ def test_bgp_multiplex_matches_reference_answer():
     assert got == want
 
 
-def test_bgp_multiplex_hash_join_path_scans_once():
-    # broadcast_threshold=0 forces the hash-join plan (no AQE
-    # materialize of acc) — still one corpus pass
+def test_bgp_multiplex_hash_join_path_scans_once(monkeypatch):
+    # a broadcast limit of 0 forces the hash-join plan — still one
+    # corpus pass
+    from pyrdf2vec_ray.ops import join
+
+    monkeypatch.setattr(join, "BROADCAST_ROWS", 0)
     tri = _triples()
     n_rows = tri.count()
     counter = _Counter.remote()
     out = bgp_match(
         _counted(tri, counter),
         [("?c", "in_nation", "?n"), ("?c", "buys", "?p")],
-        broadcast_threshold=0,
     ).to_pandas()
     assert len(out) > 0
     assert ray.get(counter.get.remote()) == n_rows

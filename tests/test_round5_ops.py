@@ -84,28 +84,6 @@ def test_pagerank_rounds_matches_driver_form():
             assert abs(got[v] - want[idx[v]]) < 1e-12, (k, v)
 
 
-def test_pagerank_rounds_distributed_join_path():
-    import numpy as np
-
-    from pyrdf2vec_ray.ops.graph import pagerank_rounds
-    from pyrdf2vec_ray.samplers import _pagerank_from_pairs
-
-    E = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
-    edges = ray.data.from_pandas(pd.DataFrame(
-        {"a": [s for s, _ in E], "b": [t for _, t in E]}))
-    names = sorted({v for e in E for v in e})
-    idx = {v: i for i, v in enumerate(names)}
-    want = _pagerank_from_pairs(
-        np.array([idx[s] for s, _ in E]), np.array([idx[t] for _, t in E]),
-        np.ones(len(names), dtype=bool), len(names),
-        alpha=0.85, tol=0.0, max_iter=3)
-    # broadcast_threshold=0 forces the co-partition hash_join fallback
-    got = (pagerank_rounds(edges, rounds=3, broadcast_threshold=0)
-           .to_pandas().set_index("name")["pagerank"])
-    for v in names:
-        assert abs(got[v] - want[idx[v]]) < 1e-12, v
-
-
 def test_round5_ops_partition_invariant():
     """Outputs must not depend on the input's block layout — the
     determinism contract every shuffle op in this repo claims."""
@@ -149,28 +127,6 @@ def test_round5_ops_partition_invariant():
     # float sums may reassociate across layouts; 1e-12 is the pinned bound
     assert np.max(np.abs(p1["pagerank"].to_numpy()
                          - p2["pagerank"].to_numpy())) < 1e-12
-
-
-def test_hits_rounds_integer_exact():
-    from pyrdf2vec_ray.ops.graph import hits_rounds
-
-    # s -> a, s -> b, a -> b, b -> a (hand-unrolled two rounds)
-    edges = ray.data.from_pandas(pd.DataFrame(
-        {"a": ["s", "s", "a", "b"], "b": ["a", "b", "b", "a"]}))
-    out = (hits_rounds(edges, rounds=2).to_pandas()
-           .set_index("name").sort_index())
-    assert out.loc["s", "authority"] == 0
-    assert out.loc["a", "authority"] == 6 and out.loc["b", "authority"] == 6
-    assert out.loc["s", "hub"] == 12
-    assert out.loc["a", "hub"] == 6 and out.loc["b", "hub"] == 6
-    # forced hash_join path is value-identical (integers, no rounding)
-    out2 = (hits_rounds(edges, rounds=2, broadcast_threshold=0)
-            .to_pandas().set_index("name").sort_index())
-    pd.testing.assert_frame_equal(out.sort_index(axis=1),
-                                  out2.sort_index(axis=1))
-    import pytest as _pt
-    with _pt.raises(ValueError):
-        hits_rounds(edges, rounds=0)
 
 
 def test_window_join_pairs_and_bounds():

@@ -80,23 +80,6 @@ def test_sameas_two_disjoint_classes_do_not_merge():
     assert got == {("a1", "p", "b1")}
 
 
-def test_sameas_union_find_path_with_alias_map_over_threshold():
-    """2 sameAs edges fit a threshold of 3, so the classes come from
-    the driver union-find; their 4 names do not, so the fact rewrite
-    takes the hash-join path."""
-    from pyrdf2vec_ray.ops.er import sameas_canonicalize
-
-    tri = _tri([
-        ("a2", "owl:sameAs", "a1"),
-        ("b2", "owl:sameAs", "b1"),
-        ("a2", "p", "b2"),
-        ("c", "q", "a2"),
-    ])
-    out = sameas_canonicalize(tri, broadcast_threshold=3).to_pandas()
-    got = set(map(tuple, out[["subj", "pred", "obj"]].values))
-    assert got == {("a1", "p", "b1"), ("c", "q", "a1")}
-
-
 # ---- SPARQL FILTER [NOT] EXISTS -------------------------------------------
 
 _KG = [
@@ -1139,26 +1122,6 @@ def test_heaps_fit_constant_vocab_beta_zero():
     assert abs(out.loc[0, "beta"]) < 1e-9
 
 
-def test_sameas_distributed_path_matches_fast_path():
-    from pyrdf2vec_ray.ops.er import sameas_canonicalize
-
-    tri = _tri([
-        ("c1", "in_nation", "n1"),
-        ("d1", "owl:sameAs", "d1b"),
-        ("d1b", "owl:sameAs", "c1"),
-        ("d1b", "in_nation", "n1"),
-        ("z", "touches", "d1"),
-        ("b2", "owl:sameAs", "b1"),
-        ("b2", "p", "q"),
-    ])
-    fast = sameas_canonicalize(tri).to_pandas()
-    # broadcast_threshold=0 forces the dense_ids + CC + hash-join path
-    slow = sameas_canonicalize(tri, broadcast_threshold=0).to_pandas()
-    key = ["subj", "pred", "obj"]
-    assert (sorted(map(tuple, fast[key].values))
-            == sorted(map(tuple, slow[key].values)))
-
-
 # ---- funnel conversion window ----------------------------------------------
 
 def test_funnel_within_window_cuts_late_conversions():
@@ -1201,11 +1164,14 @@ def test_ordered_pairs_hand_example():
         {"user_id": 2, "event_type": "a", "ts": t + pd.Timedelta("1h")},
         {"user_id": 3, "event_type": "a", "ts": t},
         {"user_id": 3, "event_type": "a", "ts": t + pd.Timedelta("2h")},
+        {"user_id": 4, "event_type": "a", "ts": t},
+        {"user_id": 4, "event_type": "a", "ts": t},
     ]
     out = (ordered_pair_counts(ray.data.from_pandas(pd.DataFrame(rows)))
            .to_pandas())
     got = {(r.prev, r.next): r.n_users for r in out.itertuples()}
-    # u1: a<b ; u2: b<a ; u3: a twice -> (a,a)
+    # u1: a<b ; u2: b<a ; u3: a twice -> (a,a) ; u4: a twice at one
+    # timestamp -> no a-event strictly before another, so no (a,a)
     assert got == {("a", "b"): 1, ("b", "a"): 1, ("a", "a"): 1}
 
 

@@ -428,7 +428,31 @@ def test_lazy_shard_owner_routing(pair):
             assert ol.tolist() == of
 
 
-def test_keepset_lazy_and_shard_routed_input(pair, tmp_path):
+def test_walk_temp_dirs_removed_with_walks(tmp_path, monkeypatch):
+    """Walks over Dataset roots write the keep-set parquet to a temp
+    dir; it goes away with the walks, as the graph's goes with the
+    index, so nothing is left in TMPDIR."""
+    import gc
+    import os
+    import tempfile
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    gi = ShardedGraphIndex.build(
+        ray.data.from_arrow(synth.triples_table(synth.LOOP)), num_shards=2)
+    roots = ray.data.from_items([{"entity": IRI + "Alice"},
+                                 {"entity": IRI + "Bob"}])
+    walks = extract_walks(gi, roots, WalkerSpec(max_depth=2))
+    assert walks.count() > 0
+    assert os.listdir(tmp)
+    del gi, walks
+    gc.collect()
+    assert os.listdir(tmp) == []
+
+
+def test_keepset_lazy_and_shard_routed_input(pair):
     """Dataset roots: the keep-set parquet doubles as the walk input and
     its fragments are shard-pure; ShardedKeepSet resolves lazily."""
     import pyarrow.parquet as pq
@@ -438,8 +462,8 @@ def test_keepset_lazy_and_shard_routed_input(pair, tmp_path):
 
     ents = [IRI + "Alice", IRI + "Bob", IRI + "Carol", synth.entity_iri(5)]
     ds = ray.data.from_items([{"entity": e} for e in ents])
-    refs, root = build_keepset_refs(ds, num_shards=4,
-                                    scratch_dir=str(tmp_path))
+    refs, keep_dir = build_keepset_refs(ds, num_shards=4)
+    root = keep_dir.path
     ks = ShardedKeepSet.from_refs(refs)
     assert sum(a is not None for a in ks.shards) == 0
     assert (IRI + "Alice") in ks and (IRI + "Nope") not in ks
