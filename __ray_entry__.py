@@ -2258,12 +2258,10 @@ def q_orders_diff(sf_dir: str):
                               "cents": cents[newk]})
         return pd.concat([out, added], ignore_index=True)
 
-    i8 = np.dtype("int64")
     return diff_tables(
         orders.map_batches(base, batch_format="pandas"),
         orders.map_batches(nextday, batch_format="pandas"),
-        key_cols=["o_orderkey"], compare_cols=["cents"],
-        aschema={"o_orderkey": i8, "cents": i8})
+        key_cols=["o_orderkey"], compare_cols=["cents"])
 
 
 def q_doc_rank_in_lang(sf_dir: str):

@@ -47,12 +47,14 @@ spec = WalkerSpec(strategy="random", max_depth=3, max_walks=8,
                   random_state=11)
 corpus = explode_walks(extract_walks(gi, entities, spec, batch_size=8))
 
-# 4. distributed training: corpus splits feed trainer actors; parameters
-#    live on vocab-sharded ParamShard actors (sparse pulls/pushes)
+# 4. distributed training: one task per corpus split and epoch; the
+#    parameters are vocab-sharded object-store shards the model holds as
+#    refs (sparse row copies out, sparse deltas back, one apply task per
+#    shard)
 model = DistributedWord2Vec(num_workers=2, num_ps=2, vector_size=32,
                             epochs=3, seed=11).fit_dataset(corpus)
 
-# 5. embeddings: each parameter shard writes its own parquet
+# 5. embeddings: one task per parameter shard writes its own parquet
 rows = model.write_parquet(f"{scratch}/embeddings")
 vecs = model.transform(entities[:5])
 print(f"wrote {rows} embedding rows; sample vector dim={len(vecs[0])}")

@@ -18,11 +18,11 @@ the negative table (`neg_table`), the seeded initialisation
 pair stream (`TokenCorpus.epoch_chunks`) and the mini-batched update
 (`SGNS.train_epoch` → `SGNS._chunk_update`).  `Word2Vec` and `FastText`
 run it in this process and pickle with the transformer
-(``RDF2VecTransformer.save``); `embedders_dist` runs the same stream on
-parameter-server actors.  For a fixed seed, in-process `Word2Vec`
-equals ``DistributedWord2Vec(num_workers=1, num_ps=1)`` up to the float
-rounding of the parameter server's delta round trip (pinned by
-tests/test_distributed_w2v.py).
+(``RDF2VecTransformer.save``); `embedders_dist` runs the same stream as
+Ray tasks over vocab-sharded parameter objects.  For a fixed seed,
+in-process `Word2Vec` equals ``DistributedWord2Vec(num_workers=1,
+num_ps=1)`` up to the float rounding of the sharded delta round trip
+(pinned by tests/test_distributed_w2v.py).
 
 FastText subwords follow the reference exactly: IRI → split on '#' →
 whole-fragment "ngrams", pure-Python FNV-1a (unmasked, as in
@@ -252,8 +252,8 @@ class SGNS:
     def train_epoch(self, corpus: TokenCorpus, seed: int, epoch: int,
                     lr: float, table: np.ndarray, remap=None):
         """One epoch of the pair stream, applied in 16k-pair sub-chunks.
-        ``remap`` maps corpus ids to rows of W/C (the parameter-server
-        trainer's compact copy of the rows it touches)."""
+        ``remap`` maps corpus ids to rows of W/C (the distributed
+        epoch task's compact copy of the rows it touches)."""
         B = 16384
         for centers, ctxs, negs in corpus.epoch_chunks(
             seed, epoch, self.window, self.negative, table
@@ -326,7 +326,8 @@ class Word2Vec:
         """Train from an exploded walks Dataset (entity, walk): the corpus
         streams off the object store into this process.  For training
         whose parameters outgrow one process use
-        `embedders_dist.DistributedWord2Vec` (parameter-server actors)."""
+        `embedders_dist.DistributedWord2Vec` (tasks over sharded
+        parameters)."""
         parts = [walk_arrays(b["walk"]) for b in walks_ds.iter_batches(
             batch_size=1 << 16, batch_format="pyarrow")] or [sentence_arrays([])]
         return self._fit(np.concatenate([p[0] for p in parts]),

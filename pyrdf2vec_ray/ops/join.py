@@ -280,8 +280,6 @@ def diff_tables(
     key_cols: list[str],
     compare_cols: list[str],
     num_buckets: int | None = None,
-    aschema=None,
-    bschema=None,
 ) -> ray.data.Dataset:
     """Snapshot diff: ``(key_cols..., status)`` for every key where the
     two tables disagree — ``'removed'`` (in a only), ``'added'`` (in b
@@ -301,7 +299,6 @@ def diff_tables(
     outer merge + column compare.  No driver state, no broadcast — a
     full-outer join specialization whose output never exceeds the
     change volume."""
-    adt = _dtypes_of(a, aschema)
     cols = key_cols + compare_cols
 
     def tag(side: bool):

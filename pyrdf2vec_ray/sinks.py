@@ -4,7 +4,8 @@ embedding list, rdf2vec.py:238-246 / word2vec.py:60-77).
 Here artifacts are partitioned parquet tables + a json manifest — a
 resumable, inspectable layout instead of one opaque pickle.  The
 transformer pickle path still exists (pipelines/rdf2vec.py save/load)
-for API parity.
+for API parity.  Embeddings are written by the distributed embedders'
+per-shard ``write_parquet`` (`embedders_dist`).
 """
 
 from __future__ import annotations
@@ -12,26 +13,7 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-import pyarrow as pa
-
 import ray.data
-
-
-def write_embeddings(
-    out_dir: str, entities: list[str], vectors: list[np.ndarray]
-) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    t = pa.table(
-        {
-            "entity": pa.array(entities, pa.string()),
-            "vector": pa.array(
-                [np.asarray(v, dtype=np.float32).tolist() for v in vectors],
-                pa.list_(pa.float32()),
-            ),
-        }
-    )
-    ray.data.from_arrow(t).write_parquet(os.path.join(out_dir, "embeddings"))
 
 
 def write_artifacts(

@@ -4,7 +4,7 @@ vertex_stats table, artifact sinks."""
 import numpy as np
 
 from pyrdf2vec_ray import synth
-from pyrdf2vec_ray.sinks import read_artifact, write_artifacts, write_embeddings
+from pyrdf2vec_ray.sinks import read_artifact, write_artifacts
 from pyrdf2vec_ray.sources.graph_edit import add_walks, from_triples, remove_edges
 from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.stats import vertex_stats
@@ -54,8 +54,3 @@ def test_artifact_roundtrip(tmp_path):
     write_artifacts(out, triples_ds=gi_ds, meta={"source": "LOOP"})
     back = read_artifact(out, "triples")
     assert tset(back) == set(synth.LOOP)
-    write_embeddings(out, ["a", "b"], [np.ones(4, np.float32), np.zeros(4, np.float32)])
-    import ray.data
-
-    emb = ray.data.read_parquet(f"{out}/embeddings").to_pandas()
-    assert sorted(emb["entity"]) == ["a", "b"]

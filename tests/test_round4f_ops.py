@@ -113,6 +113,24 @@ def test_diff_tables_nan_equals_nan():
     assert out["status"].tolist() == ["changed"]
 
 
+def test_diff_tables_runs_no_job_at_call_time(ray_jobs):
+    """A lazy input is not executed (not even for its schema) until the
+    diff is consumed, and the diff's rows are unchanged."""
+    from pyrdf2vec_ray.ops.join import diff_tables
+
+    a = ray.data.from_pandas(pd.DataFrame(
+        {"k": [1, 2, 3, 4], "v": [10, 20, 30, 40]})).map_batches(
+            lambda df: df, batch_format="pandas")
+    b = ray.data.from_pandas(pd.DataFrame(
+        {"k": [2, 3, 4, 5], "v": [20, 99, 40, 50]}))
+    with ray_jobs() as jobs:
+        diff = diff_tables(a, b, ["k"], ["v"])
+    assert jobs.count == 0
+    out = diff.to_pandas().sort_values("k").reset_index(drop=True)
+    assert out["k"].tolist() == [1, 3, 5]
+    assert out["status"].tolist() == ["removed", "changed", "added"]
+
+
 # ---- rank_in_group ---------------------------------------------------------
 
 
