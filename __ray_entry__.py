@@ -366,7 +366,8 @@ def q_fasttext_buckets(sf_dir: str):
     32+24·L bits — 3-byte tokens keep it inside DuckDB's HUGEINT, which
     reproduces it bit-for-bit via list_reduce.  Also asserts the OOV
     identity in-query (fasttext.py:130-156): a fitted model's OOV
-    vector equals the mean of its ngram-bucket vectors."""
+    vector equals the mean of the bucket vectors its ngrams hit, as
+    the model's own bucket lookup returns them."""
     from pyrdf2vec_ray.embedders import FastText, compute_ngrams_bytes
 
     import ray.data
@@ -392,8 +393,9 @@ def q_fasttext_buckets(sf_dir: str):
     ft.fit([[list(tokens)]])
     probe = f"http://example.org#{tokens[0]}"
     vec = ft.get_vector(probe)
-    hits = [ft._bucket_vecs[h] for h in ft.ft_ngram_hashes(probe)
-            if h in ft._bucket_vecs]
+    hashes = ft.ft_ngram_hashes(probe)
+    found = ft._lookup_buckets(set(hashes))
+    hits = [found[h] for h in hashes if h in found]
     expect = np.mean(hits, axis=0)
     assert hits and np.allclose(vec, expect), "OOV != mean of bucket vecs"
 
@@ -504,7 +506,7 @@ def q_w2v_vocab(sf_dir: str):
     word2vec.py:29-58 build_vocab): deterministic depth-1 BFS walks
     from 200 customers feed `DistributedWord2Vec.fit_dataset` with two
     trainers; the model's vocabulary is the count its epochs train from
-    (one `embedders_dist.count_walks` task per trainer factorizes that
+    (one `embedders.count_walks` task per trainer factorizes that
     split's blocks, the driver merges the partials).  The resulting
     (token, n) table is a plain SQL grouped count over the walk
     definition."""
@@ -4663,9 +4665,9 @@ def q_fasttext_dist(sf_dir: str):
     shuffle over the shard-streamed (token, vector) Dataset — never a
     driver-held 2M×dim matrix) → vectors for fitted entities plus one
     OOV probe resolved as the mean of its bucket vectors.  Rows-only
-    (distributed SGD is not SQL-expressible); the bucket algebra's
-    parity with the in-process trainer is pinned by
-    tests/test_distributed_w2v.py."""
+    (distributed SGD is not SQL-expressible); the bucket algebra is
+    checked against a driver-side accumulation and the vectors are
+    pinned by sha256 in tests/test_distributed_w2v.py."""
     import pyarrow as _pa
 
     from pyrdf2vec_ray.embedders_dist import DistributedFastText

@@ -231,8 +231,8 @@ def run_benchmarks() -> dict:
 
     timed("dfs_walks", bench_dfs)
 
-    # 4a. distributed Word2Vec (PS actors) on the BFS walk corpus.
-    # The timed region is TRAINING ONLY (vocab shuffle + corpus split +
+    # 4a. distributed Word2Vec (tasks over parameter shards) on the BFS
+    # walk corpus.  The timed region is TRAINING ONLY (vocab count + corpus split +
     # vectorized window expansion + sharded SGNS epochs): walk extraction
     # is already measured by bfs_walks, so corpus construction is
     # untimed one-time setup — timing it too tripled the stage's noise

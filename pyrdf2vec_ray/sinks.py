@@ -1,50 +1,15 @@
-"""Artifact sinks (reference K1/K2: whole-model pickle + in-memory
+"""Table sinks (reference K1/K2: whole-model pickle + in-memory
 embedding list, rdf2vec.py:238-246 / word2vec.py:60-77).
 
-Here artifacts are partitioned parquet tables + a json manifest — a
-resumable, inspectable layout instead of one opaque pickle.  The
-transformer pickle path still exists (pipelines/rdf2vec.py save/load)
-for API parity.  Embeddings are written by the distributed embedders'
-per-shard ``write_parquet`` (`embedders_dist`).
+The model pickle is the transformer's own (pipelines/rdf2vec.py
+save/load).  Embeddings are written by the embedders' per-shard
+``write_parquet`` (`embedders`); `write_table` writes any Dataset in one
+of the supported formats.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 import ray.data
-
-
-def write_artifacts(
-    out_dir: str,
-    walks_ds: ray.data.Dataset | None = None,
-    triples_ds: ray.data.Dataset | None = None,
-    stats_ds: ray.data.Dataset | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Partitioned parquet per table + manifest.json describing what was
-    written (row counts land in the manifest so a reader can sanity-check
-    completeness without scanning)."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest: dict = {"tables": {}, "meta": meta or {}}
-    for name, ds in (
-        ("walks", walks_ds), ("triples", triples_ds), ("vertex_stats", stats_ds)
-    ):
-        if ds is None:
-            continue
-        path = os.path.join(out_dir, name)
-        ds.write_parquet(path)
-        manifest["tables"][name] = {"path": name, "rows": ds.count()}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
-
-
-def read_artifact(out_dir: str, name: str) -> ray.data.Dataset:
-    with open(os.path.join(out_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    rel = manifest["tables"][name]["path"]
-    return ray.data.read_parquet(os.path.join(out_dir, rel))
 
 
 def write_table(ds: ray.data.Dataset, path: str, fmt: str = "parquet") -> None:

@@ -1,6 +1,7 @@
-"""Distributed (parameter-server) Word2Vec: determinism across runs,
-equality with the in-process trainer at one worker and one shard,
-vectors pinned byte for byte, transformer integration."""
+"""Word2Vec/FastText trained by Ray tasks over parameter shards:
+determinism across runs, vectors pinned byte for byte at one split and
+one shard (the public classes' defaults) and at two and two, pickling,
+transformer integration."""
 
 import gc
 import hashlib
@@ -92,8 +93,8 @@ def test_transform_unknown_raises():
 
 
 def test_distributed_fasttext_buckets_and_oov():
-    """DistributedFastText (PS path): the distributed bucket reduce must
-    agree with the in-process accumulation (fasttext.py:130-156 —
+    """FastText's distributed bucket reduce must agree with a driver-side
+    accumulation (fasttext.py:130-156 —
     bucket vector = mean of word vectors whose subwords hash to it)
     computed from the SAME trained matrix, and OOV transform = mean of
     its ngram-bucket vectors."""
@@ -106,7 +107,7 @@ def test_distributed_fasttext_buckets_and_oov():
     toks = [str(t) for t in m.vocab]
     word_vecs = dict(zip(toks, m._pull_vectors(toks)))
 
-    # in-process bucket algebra over the same word matrix
+    # driver-side bucket algebra over the same word matrix
     sums, counts = {}, {}
     for t in toks:
         for n in compute_ngrams_bytes(t, 0, 0):
@@ -133,6 +134,7 @@ def test_distributed_fasttext_buckets_and_oov():
     vec = m.get_vector(oov)
     hit_buckets = [h for h in m.ft_ngram_hashes(oov) if h in got]
     assert hit_buckets
+    assert np.abs(m.get_vector(OOV[1])).sum() > 0   # a bucket was hit
     assert np.allclose(vec, np.mean([got[h] for h in hit_buckets], axis=0),
                        atol=1e-6)
     # in-vocab transform still returns the word vector itself
@@ -151,54 +153,16 @@ def test_distributed_fasttext_deterministic():
         assert np.array_equal(x, y)
 
 
-def _assert_same_vectors(inproc, ps, probes):
-    got = np.stack(inproc.transform(probes))
-    want = np.stack(ps.transform(probes))
-    # the PS applies W0 + (W1 - W0): equal up to that float rounding
-    np.testing.assert_allclose(got, want, rtol=1e-5, atol=0)
-
-
-def test_word2vec_equals_one_worker_one_ps():
-    """In-process Word2Vec runs the parameter-server trainer's vocabulary,
-    seeds, schedule and pair stream: fit, an is_update refit and
-    fit_dataset all equal DistributedWord2Vec(num_workers=1, num_ps=1)."""
-    kw = dict(vector_size=16, epochs=3, seed=5)
-    a = Word2Vec(**kw).fit(CORPUS)
-    b = DistributedWord2Vec(num_workers=1, num_ps=1, **kw).fit(CORPUS)
-    _assert_same_vectors(a, b, list(b.vocab))
-    assert np.array_equal(a._model.vocab, b.vocab)
-    a.fit(UPDATE, is_update=True)
-    b.fit(UPDATE, is_update=True)
-    _assert_same_vectors(a, b, list(b.vocab))
-    assert np.array_equal(a._model.vocab, b.vocab)
-
-    a = Word2Vec(**kw).fit_dataset(_walks_ds(CORPUS))
-    b = DistributedWord2Vec(num_workers=1, num_ps=1, **kw) \
-        .fit_dataset(_walks_ds(CORPUS))
-    _assert_same_vectors(a, b, list(b.vocab))
-
-
-def test_fasttext_equals_one_worker_one_ps():
-    """Same for FastText, fit and fit_dataset: in-vocab word vectors and
-    OOV bucket means."""
-    kw = dict(bucket=997, vector_size=16, epochs=3, seed=5)
-    a = FastText(**kw).fit(CORPUS)
-    b = DistributedFastText(num_workers=1, num_ps=1, **kw).fit(CORPUS)
-    _assert_same_vectors(a, b, list(b.vocab) + OOV)
-    assert np.abs(a.get_vector(OOV[1])).sum() > 0   # a bucket was hit
-
-    a = FastText(**kw).fit_dataset(_walks_ds(CORPUS))
-    b = DistributedFastText(num_workers=1, num_ps=1, **kw) \
-        .fit_dataset(_walks_ds(CORPUS))
-    _assert_same_vectors(a, b, list(b.vocab) + OOV)
-
-
 # sha256[:16] of the float32 vectors (sorted vocab, then OOV for FastText)
 # after fit(CORPUS), then fit(UPDATE, is_update=True), and after a fresh
 # fit_dataset(CORPUS); vector_size=8, epochs=3, seed=5, bucket=997.
-# Recorded before the in-process trainer adopted the PS epoch stream:
-# the parameter-server arithmetic is unchanged byte for byte.
+# Word2Vec and FastText run at their defaults, one split and one shard,
+# so they share the 1x1 digests of the Distributed names.
 PS_DIGESTS = {
+    ("Word2Vec", 1, 1):
+        ("931c3f15a1b47dd5", "033564a8b8b1ee6d", "931c3f15a1b47dd5"),
+    ("FastText", 1, 1):
+        ("991b2f16753b2cd1", "53843fd3cb444d65", "991b2f16753b2cd1"),
     ("DistributedWord2Vec", 1, 1):
         ("931c3f15a1b47dd5", "033564a8b8b1ee6d", "931c3f15a1b47dd5"),
     ("DistributedWord2Vec", 2, 2):
@@ -214,20 +178,23 @@ PS_DIGESTS = {
                          ids=lambda k: f"{k[0]}-{k[1]}x{k[2]}")
 def test_ps_vectors_pinned(key):
     name, nw, nps = key
-    cls = {"DistributedWord2Vec": DistributedWord2Vec,
-           "DistributedFastText": DistributedFastText}[name]
-    kw = dict(num_workers=nw, num_ps=nps, vector_size=8, epochs=3, seed=5)
-    if cls is DistributedFastText:
+    cls = {c.__name__: c for c in (Word2Vec, FastText, DistributedWord2Vec,
+                                   DistributedFastText)}[name]
+    kw = dict(vector_size=8, epochs=3, seed=5)
+    if name.startswith("Distributed"):
+        kw.update(num_workers=nw, num_ps=nps)
+    if issubclass(cls, FastText):
         kw["bucket"] = 997
 
     def digest(m):
         probes = [str(t) for t in m.vocab]
-        if cls is DistributedFastText:
+        if issubclass(cls, FastText):
             probes += OOV
         M = np.stack(m.transform(probes)).astype(np.float32)
         return hashlib.sha256(M.tobytes()).hexdigest()[:16]
 
     m = cls(**kw).fit(CORPUS)
+    assert (m.num_workers, m.num_ps) == (nw, nps)
     got = (digest(m), digest(m.fit(UPDATE, is_update=True)),
            digest(cls(**kw).fit_dataset(_walks_ds(CORPUS))))
     assert got == PS_DIGESTS[key]
@@ -351,7 +318,9 @@ def test_more_shards_than_vocab_rows():
     assert len(m.transform(list(m.vocab))) == 5
 
 
-PICKLED = [(DistributedWord2Vec, list("abcpqr")),
+PICKLED = [(Word2Vec, list("abcpqr")),
+           (FastText, list("abcpqr") + OOV),
+           (DistributedWord2Vec, list("abcpqr")),
            (DistributedFastText, list("abcpqr") + OOV)]
 
 
@@ -359,9 +328,13 @@ PICKLED = [(DistributedWord2Vec, list("abcpqr")),
                          ids=[c.__name__ for c, _ in PICKLED])
 def test_pickled_model_outlives_original(cls, probes):
     """A pickled model carries its parameters by value: it transforms
-    (OOV probes included) after the original is collected."""
-    kw = dict(num_workers=2, num_ps=2, vector_size=8, epochs=2, seed=5)
-    if cls is DistributedFastText:
+    (OOV probes included) after the original is collected.  Word2Vec
+    and FastText run at their defaults (one shard), the Distributed
+    names at two shards."""
+    kw = dict(vector_size=8, epochs=2, seed=5)
+    if cls.__name__.startswith("Distributed"):
+        kw.update(num_workers=2, num_ps=2)
+    if issubclass(cls, FastText):
         kw["bucket"] = 997
     m = cls(**kw).fit(CORPUS)
     want = np.stack(m.transform(probes))

@@ -39,15 +39,15 @@ def test_sgns_refit_resets_weights():
     corpus_b = [[["x", "y"]] * 4] * 3
     m = Word2Vec(vector_size=8, epochs=1, seed=3)
     m.fit(corpus_a)
-    assert len(m._model.W) == 4
+    assert len(m.vocab) == 4
     # non-update re-fit: fresh vocab AND fresh weights (not the old matrix
     # trained for different tokens)
     m.fit(corpus_b, is_update=False)
-    assert set(m._model.vocab.tolist()) == {"x", "y"}
-    assert len(m._model.W) == 2
+    assert set(m.vocab.tolist()) == {"x", "y"}
+    assert len(m.vocab) == 2
     # update re-fit still grows
     m.fit(corpus_a, is_update=True)
-    assert len(m._model.W) == 6
+    assert len(m.vocab) == 6
 
 
 def test_word2vec_unseen_raises():

@@ -1,10 +1,9 @@
 """Graph edits (add_walks/remove_edges ≡ kg.add_walk/remove_edge),
-vertex_stats table, artifact sinks."""
+vertex_stats table."""
 
 import numpy as np
 
 from pyrdf2vec_ray import synth
-from pyrdf2vec_ray.sinks import read_artifact, write_artifacts
 from pyrdf2vec_ray.sources.graph_edit import add_walks, from_triples, remove_edges
 from pyrdf2vec_ray.state.graph_index import GraphIndex
 from pyrdf2vec_ray.stats import vertex_stats
@@ -46,11 +45,3 @@ def test_vertex_stats_table():
     ent = t.loc[[IRI + n for n in ("Alice", "Bob", "Dean")]]
     assert np.isclose(ent["pagerank"].sum(), 1.0, atol=1e-4)
     assert (ent["community"] >= 0).all()
-
-
-def test_artifact_roundtrip(tmp_path):
-    gi_ds = from_triples(synth.LOOP)
-    out = str(tmp_path / "artifacts")
-    write_artifacts(out, triples_ds=gi_ds, meta={"source": "LOOP"})
-    back = read_artifact(out, "triples")
-    assert tset(back) == set(synth.LOOP)
