@@ -174,10 +174,9 @@ def run_benchmarks() -> dict:
 
     # 3. graph index + BFS walks from every customer — on the SHARDED
     # backend (state/sharded_graph.py), the scale path every driver walk
-    # query runs: hash-partitioned parquet shards + per-shard CSR object
-    # refs, no driver-side graph materialization.  The shuffle-by-write
-    # build is timed as its own stage (it IS the north rule's "graph
-    # materialize" step).
+    # query runs: crc32-sharded per-shard CSR object refs built by Ray
+    # tasks, no driver-side graph materialization.  The build is timed as
+    # its own stage (it IS the north rule's "graph materialize" step).
     import tempfile
 
     from pyrdf2vec_ray.state.sharded_graph import ShardedGraphIndex

@@ -2,7 +2,8 @@
 materialization of corpus, graph, or weights:
 
   docs → construct_kg (one dedup shuffle)
-       → ShardedGraphIndex.build (shuffle-by-write parquet shards)
+       → ShardedGraphIndex.build (crc32 block split, one CSR task
+         per shard)
        → extract_walks (name-routed hop lookups) → explode to a corpus
        → DistributedWord2Vec.fit_dataset (vocab-sharded parameter
          servers, Dataset.split corpus shards)
@@ -37,8 +38,8 @@ candidates = {synth.entity_name(i).casefold(): synth.entity_iri(i)
 docs = synth.synth_documents(4000, seed=11, n_entities=60)
 triples = construct_kg(docs, candidates)
 
-# 2. sharded graph: hash-partitioned parquet + one CSR task per shard —
-#    the driver holds object refs, never the triples
+# 2. sharded graph: one split task per triple block + one CSR task per
+#    shard — the driver holds object refs, never the triples
 gi = ShardedGraphIndex.build(triples, num_shards=4, scratch_dir=scratch)
 
 # 3. walks as a streaming Dataset (name-routed hops, per-worker caches)

@@ -38,15 +38,17 @@ def link_mentions(
 ) -> ray.data.Dataset:
     """Stateless-task form of the linker: the sharded index is broadcast
     via the object store and materialized ONCE PER WORKER PROCESS (module
-    cache keyed by the shard refs), so tasks on warm workers pay a dict
-    lookup, not an actor spin-up.  The EntityLinker actor class remains
-    for linkers with heavyweight state (models)."""
-    key = tuple(str(r) for r in index.shard_refs)
+    cache keyed by the shard refs and the filters), so tasks on warm
+    workers pay a dict lookup, not an actor spin-up.  The EntityLinker
+    actor class remains for linkers with heavyweight state (models)."""
+    key = (tuple(str(r) for r in index.shard_refs), skip_predicates,
+           min_score)
 
     def link(batch: pa.Table) -> pa.Table:
         linker = _LINKER_CACHE.get(key)
         if linker is None:
             linker = EntityLinker(index, skip_predicates, min_score)
+            _LINKER_CACHE.clear()   # one linker per worker at a time
             _LINKER_CACHE[key] = linker
         return linker(batch)
 

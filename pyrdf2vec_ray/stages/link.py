@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
@@ -66,6 +66,7 @@ class EntityLinker:
     is a filter choice, not silent data loss).
     Predicates are trusted vocabulary: canonicalized as IRI_PREFIX+surface.
     ``skip_predicates`` filtering (reference kg.py:209) happens here.
+    A batch is linked with Arrow kernels, no per-row Python.
     """
 
     def __init__(
@@ -74,54 +75,56 @@ class EntityLinker:
         skip_predicates: frozenset[str] = frozenset(),
         min_score: float = 0.0,
     ):
-        self.index = index.load()          # once per actor
-        self.skip = skip_predicates
+        cands = index.load()               # once per actor
+        self.keys = pa.array(list(cands), pa.string())
+        self.iris = pa.array(list(cands.values()), pa.string())
+        self.skip = pa.array(sorted(skip_predicates), pa.string())
         self.min_score = min_score
-        self._cache: dict[str, tuple[str, float]] = {}
 
-    def _link(self, surface: str) -> tuple[str, float]:
-        hit = self._cache.get(surface)
-        if hit is not None:
-            return hit
-        key = normalize_surface(surface)
-        iri = self.index.get(key)
-        if iri is None:
-            out = (IRI_PREFIX + surface, 0.1)
-        elif iri == IRI_PREFIX + surface:
-            out = (iri, 1.0)
-        else:
-            out = (iri, 0.9)
-        self._cache[surface] = out
-        return out
+    def _link(self, surfaces: pa.Array) -> tuple[pa.Array, pa.Array]:
+        """(IRI, score) of every surface."""
+        idx = pc.index_in(surface_keys(surfaces), value_set=self.keys)
+        own = pc.binary_join_element_wise(IRI_PREFIX, surfaces, "")
+        iri = pc.coalesce(self.iris.take(idx), own)
+        score = pc.if_else(pc.is_null(idx), 0.1,
+                           pc.if_else(pc.equal(iri, own), 1.0, 0.9))
+        return iri, score
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        subj_s = batch["surface_subj"].to_numpy(zero_copy_only=False)
-        pred_s = batch["surface_pred"].to_numpy(zero_copy_only=False)
-        obj_s = batch["surface_obj"].to_numpy(zero_copy_only=False)
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-
-        subj, pred, obj, score, keep_doc = [], [], [], [], []
-        for i in range(len(subj_s)):
-            p_iri = IRI_PREFIX + pred_s[i]
-            if p_iri in self.skip:
-                continue
-            s_iri, s_sc = self._link(subj_s[i])
-            o_iri, o_sc = self._link(obj_s[i])
-            sc = min(s_sc, o_sc)
-            if sc < self.min_score:
-                continue
-            keep_doc.append(doc_ids[i])
-            subj.append(s_iri)
-            pred.append(p_iri)
-            obj.append(o_iri)
-            score.append(sc)
-        return pa.Table.from_pydict(
+        pred = pc.binary_join_element_wise(
+            IRI_PREFIX, batch["surface_pred"], "")
+        keep = pc.invert(pc.is_in(pred, value_set=self.skip))
+        batch, pred = batch.filter(keep), pred.filter(keep)
+        n = batch.num_rows
+        subj_s, obj_s = batch["surface_subj"], batch["surface_obj"]
+        iri, score = self._link(pa.chunked_array(
+            subj_s.chunks + obj_s.chunks, subj_s.type).combine_chunks())
+        sc = pc.min_element_wise(score[:n], score[n:])
+        out = pa.table(
             {
-                "doc_id": pa.array(keep_doc, pa.string()),
-                "subj": pa.array(subj, pa.string()),
-                "pred": pa.array(pred, pa.string()),
-                "obj": pa.array(obj, pa.string()),
-                "score": pa.array(np.asarray(score, dtype=np.float32)),
-            },
-            schema=LINKED,
-        )
+                "doc_id": batch["doc_id"],
+                "subj": iri[:n],
+                "pred": pred,
+                "obj": iri[n:],
+                "score": sc,
+            }
+        ).filter(pc.greater_equal(sc, self.min_score))
+        return out.cast(LINKED)
+
+
+_PRINTABLE_ASCII = r"^[\x20-\x7e]*$"
+
+
+def surface_keys(surfaces: pa.Array) -> pa.Array:
+    """``normalize_surface`` of every surface.  On printable ASCII
+    (0x20–0x7E) casefold is lower and ``str.strip`` removes only spaces,
+    so Arrow kernels give the key; any other surface goes through
+    ``normalize_surface`` itself."""
+    keys = pc.utf8_trim(
+        pc.replace_substring(pc.utf8_lower(surfaces), "_", " "), " ")
+    other = pc.invert(pc.match_substring_regex(surfaces, _PRINTABLE_ASCII))
+    if pc.any(other).as_py():
+        slow = [normalize_surface(s)
+                for s in surfaces.filter(other).to_pylist()]
+        keys = pc.replace_with_mask(keys, other, pa.array(slow, keys.type))
+    return keys

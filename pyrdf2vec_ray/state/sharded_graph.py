@@ -2,15 +2,18 @@
 literals, built and served without collecting the graph to the driver
 (SURVEY.md §4 "Data distribution").
 
-Build: the triples Dataset is hash-partitioned TWICE — by
-``crc32(subj) % S`` for forward hops and ``crc32(obj) % S`` for reverse
-hops — straight to partitioned parquet (a shuffle-by-write; the driver
-streams, never collects).  One Ray task per (direction, shard) then
-loads its partition and builds the CSR kernel of
-``state/graph_index.py`` (``GraphIndex.from_table``), leaving the arrays
-in the object store.  The driver holds S object refs per direction, not
-the graph.  ``num_shards=1`` is the single-CSR case: one forward and one
-reverse array set holding every triple.
+Build: the triples Dataset is materialized once (one Ray Data job on a
+lazy input, none on a materialized one) and each non-empty block goes
+to one split task, which cuts it into S forward pieces keyed by
+``crc32(subj) % S`` and S reverse pieces keyed by ``crc32(obj) % S``.
+One Ray task per (direction, shard) then concatenates its pieces and
+builds the CSR kernel of ``state/graph_index.py``
+(``GraphIndex.from_table``), leaving the arrays in the object store; a
+forward task also writes its shard's triples as one parquet file under
+``{root}/fwd``, which ``triples_dataset()`` reads.  The driver holds S
+object refs per direction, never the triples.  ``num_shards=1`` is the
+single-CSR case: one forward and one reverse array set holding every
+triple.
 
 Serve: hop lookups route by vertex NAME — shard ``crc32(name) % S``
 owns every triple whose subj (resp. obj) is that name, so one shard
@@ -63,6 +66,57 @@ def _shard_col(names: pa.ChunkedArray, num_shards: int) -> pa.Array:
 
 
 @ray.remote
+def _split_block(block: pa.Table, cols: list, keys: tuple,
+                 num_shards: int):
+    """One block's ``cols`` cut by ``crc32(key) % num_shards`` for each
+    key column: ``len(keys) * num_shards`` pieces, key-major, each in
+    the block's row order."""
+    block = block.select(cols)
+    pieces = []
+    for key in keys:
+        shard = _shard_col(block[key], num_shards).to_numpy()
+        order = np.argsort(shard, kind="stable")
+        bounds = np.searchsorted(shard[order], np.arange(num_shards + 1))
+        pieces += [block.take(order[lo:hi])
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # a task with num_returns=1 returns its one object, not a list
+    return pieces if len(pieces) > 1 else pieces[0]
+
+
+def split_by_shard(ds: "ray.data.Dataset", cols: list, keys: tuple,
+                   num_shards: int) -> list:
+    """Cut every row of ``ds`` to the shard ``crc32(key) % num_shards``
+    of each key column, with one task per non-empty block.  Returns
+    ``pieces[k][s]``, the piece refs of key ``k`` and shard ``s``; a
+    shard's pieces are in block order.  ``ds`` is materialized here: one
+    Ray Data job on a lazy Dataset, none on a materialized one.
+    (``to_arrow_refs`` on a lazy Dataset would run its plan twice, once
+    for the blocks and once more for their schema.)"""
+    mat = ds.materialize()
+    rows = [m.num_rows for b in mat.iter_internal_ref_bundles()
+            for _, m in b.blocks]
+    # a schema-less empty block has none of ``cols``: skip it
+    blocks = [r for r, n in zip(mat.to_arrow_refs(), rows) if n != 0]
+    del mat
+    n_out = len(keys) * num_shards
+    pieces = [[[] for _ in range(num_shards)] for _ in keys]
+    for block in blocks:
+        out = _split_block.options(num_returns=n_out).remote(
+            block, cols, keys, num_shards)
+        for i, ref in enumerate(out if n_out > 1 else [out]):
+            pieces[i // num_shards][i % num_shards].append(ref)
+    return pieces
+
+
+def concat_pieces(pieces: tuple, cols: list) -> pa.Table:
+    """One shard's pieces as one table; no pieces (no rows at all) give
+    an empty table of string ``cols``."""
+    if pieces:
+        return pa.concat_tables(pieces)
+    return pa.table({c: pa.array([], pa.string()) for c in cols})
+
+
+@ray.remote
 def _shard_crc(a: GraphArrays) -> tuple[int, int, int]:
     """(vertices, edges, crc32 over the forward CSR and vocabulary) of
     one shard, computed in a worker; only three ints reach the caller."""
@@ -86,17 +140,19 @@ def require_sharded(gi, caller: str) -> None:
 
 
 @ray.remote
-def _build_shard(part_dir: str) -> GraphArrays:
-    """Load one hash partition and build its CSR (runs on any worker;
-    the arrays land in that worker's object store, not on the driver)."""
-    import os
+def _build_shard(path: str | None, *pieces: pa.Table) -> GraphArrays:
+    """Concatenate one shard's pieces and build its CSR (runs on any
+    worker; the arrays land in that worker's object store, not on the
+    driver).  A forward shard also writes its triples to ``path``, even
+    when it holds none."""
+    t = concat_pieces(pieces, TRIPLE_COLS)
+    if path is not None:
+        import os
 
-    import pyarrow.parquet as pq
+        import pyarrow.parquet as pq
 
-    if os.path.isdir(part_dir):
-        t = pq.read_table(part_dir, columns=TRIPLE_COLS)
-    else:  # empty shard: no rows hashed here
-        t = pa.table({c: pa.array([], pa.string()) for c in TRIPLE_COLS})
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(t, path)
     return GraphIndex.from_table(t).arrays
 
 
@@ -117,44 +173,24 @@ class ShardedGraphIndex:
         num_shards: int = 8,
         scratch_dir: str | None = None,
     ) -> "ShardedGraphIndex":
-        """Shuffle-by-write the triples into ``num_shards`` forward and
-        reverse parquet partitions under ``scratch_dir`` and build each
-        shard's CSR in a worker.  With no ``scratch_dir`` the partitions
-        go to a fresh temp dir that is removed when the index is
-        collected; a caller's dir is never removed."""
+        """Split the triples into ``num_shards`` forward and reverse
+        shards with Ray tasks and build each shard's CSR in a worker; the
+        forward shards' triples go to ``{root}/fwd`` as one parquet file
+        per shard.  ``root`` is ``scratch_dir``, or a fresh temp dir that
+        is removed when the index is collected; a caller's dir is never
+        removed."""
         import tempfile
 
         root = scratch_dir or tempfile.mkdtemp(prefix="sharded_graph_")
-
-        def add_shard(key: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                return batch.select(TRIPLE_COLS).append_column(
-                    "shard", _shard_col(batch[key], num_shards)
-                )
-
-            return fn
-
-        # two shuffle-by-write passes; the driver never holds the triples.
-        # The reverse pass reads the forward parquet back instead of
-        # re-executing the (possibly expensive — dedup shuffle etc.)
-        # upstream pipeline a second time.
-        import ray.data
-
-        fwd_dir = f"{root}/fwd"
-        rev_dir = f"{root}/rev"
-        triples_ds.map_batches(
-            add_shard("subj"), batch_format="pyarrow"
-        ).write_parquet(fwd_dir, partition_cols=["shard"])
-        ray.data.read_parquet(fwd_dir, columns=TRIPLE_COLS).map_batches(
-            add_shard("obj"), batch_format="pyarrow"
-        ).write_parquet(rev_dir, partition_cols=["shard"])
-
+        fwd, rev = split_by_shard(triples_ds, TRIPLE_COLS, ("subj", "obj"),
+                                  num_shards)
         fwd_refs = [
-            _build_shard.remote(f"{fwd_dir}/shard={s}") for s in range(num_shards)
+            _build_shard.remote(f"{root}/fwd/shard-{s:05d}.parquet", *fwd[s])
+            for s in range(num_shards)
         ]
-        rev_refs = [
-            _build_shard.remote(f"{rev_dir}/shard={s}") for s in range(num_shards)
-        ]
+        rev_refs = [_build_shard.remote(None, *rev[s])
+                    for s in range(num_shards)]
+        del fwd, rev   # the shard tasks hold the pieces until they finish
         # wait for completion (refs stay in the object store; no driver copy)
         ray.wait(fwd_refs + rev_refs, num_returns=2 * num_shards, fetch_local=False)
         index = ShardedGraphIndex(fwd_refs, rev_refs, num_shards, root)
@@ -163,7 +199,7 @@ class ShardedGraphIndex:
         return index
 
     def triples_dataset(self) -> "ray.data.Dataset":
-        """The forward-partitioned parquet re-read as a Dataset (used for
+        """The forward shards' parquet re-read as a Dataset (used for
         name-keyed sampler fitting — grouped counts over the same
         persisted triples, no extra copy)."""
         import ray.data

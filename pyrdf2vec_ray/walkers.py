@@ -28,8 +28,9 @@ from pyrdf2vec_ray.stages.walk import WalkCore
 from pyrdf2vec_ray.state.sharded_graph import (
     ShardedGraphIndex,
     ShardedLocalGraph,
-    _shard_col,
+    concat_pieces,
     require_sharded,
+    split_by_shard,
 )
 
 STRATEGIES = (
@@ -255,31 +256,13 @@ class ShardedKeepSet:
         return i < len(a) and a[i] == name
 
 
-@ray.remote
-def _build_keep_shard(part_dir: str) -> np.ndarray:
-    import os
-
-    import pyarrow.parquet as pq
-
-    if not os.path.isdir(part_dir):
-        return np.array([], dtype=np.str_)
-    names = pq.read_table(part_dir, columns=["entity"])["entity"]
-    s = names.to_pandas().drop_duplicates().sort_values()
-    return s.to_numpy().astype(np.str_)          # U-dtype: zero-copy put
-
-
-class _TempDir:
-    """A fresh temp dir, removed when this object is collected (or at
-    exit).  Only the driver's instance removes it: a pickled copy — the
-    walk UDF that holds one ships to workers — carries the path only."""
-
-    def __init__(self, prefix: str):
-        import shutil
-        import tempfile
-        import weakref
-
-        self.path = tempfile.mkdtemp(prefix=prefix)
-        weakref.finalize(self, shutil.rmtree, self.path, True)
+@ray.remote(num_returns=2)
+def _build_keep_shard(*pieces: pa.Table) -> tuple:
+    """One shard's root pieces → (its sorted distinct names, its roots
+    as one table)."""
+    t = concat_pieces(pieces, ["entity"])
+    s = t["entity"].to_pandas().drop_duplicates().sort_values()
+    return s.to_numpy().astype(np.str_), t       # U-dtype: zero-copy put
 
 
 def build_keepset_refs(
@@ -287,30 +270,16 @@ def build_keepset_refs(
     num_shards: int = 8,
 ) -> tuple:
     """Roots Dataset → (tuple of per-shard sorted-name array refs — the
-    ShardedKeepSet halves — , the :class:`_TempDir` of the parquet), via
-    the same shuffle-by-write used for the sharded graph: partitioned
-    parquet by crc32(entity), one build task per shard — the driver
-    streams and never holds the root list.  The parquet doubles as the
-    SHARD-ROUTED walk input: its fragments are shard-pure, so reading
-    it back yields entity batches already grouped by owner shard.  The
-    dir lives as long as the returned object; a reader keeps it."""
-    keep_dir = _TempDir("keepset_")
-    root = keep_dir.path
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.select(["entity"]).append_column(
-            "shard", _shard_col(batch["entity"], num_shards)
-        )
-
-    entities_ds.map_batches(
-        add_shard, batch_format="pyarrow"
-    ).write_parquet(root, partition_cols=["shard"])
-    refs = [
-        _build_keep_shard.remote(f"{root}/shard={s}")
-        for s in range(num_shards)
-    ]
-    ray.wait(refs, num_returns=num_shards, fetch_local=False)
-    return tuple(refs), keep_dir
+    ShardedKeepSet halves — , list of per-shard root table refs), via
+    the same task split the sharded graph is built with: one split task
+    per block by crc32(entity), one build task per shard — the driver
+    holds refs and never the root list.  The tables are the SHARD-ROUTED
+    walk input: each holds one shard's roots only."""
+    (pieces,) = split_by_shard(entities_ds, ["entity"], ("entity",),
+                               num_shards)
+    names, tables = zip(*(_build_keep_shard.remote(*p) for p in pieces))
+    ray.wait(list(names), num_returns=num_shards, fetch_local=False)
+    return names, list(tables)
 
 
 _EXTRACTOR_CACHE: dict = {}
@@ -358,22 +327,17 @@ def extract_walks(
     require_sharded(gi, "extract_walks")
     custom_fn = _CUSTOM_STRATEGIES.get(spec.strategy)
     if isinstance(entities, ray.data.Dataset):
-        # single consumer: the keep-set build WRITES the roots as parquet
-        # partitioned by crc32(entity) % S, and the walk input stream
-        # READS that parquet back — one pass over the (often
-        # distinct-shuffled) upstream lineage, no materialize barrier,
-        # and the read-back fragments are shard-pure so every walk batch
-        # arrives already routed to its owner shard: the lazy
+        # the keep-set build splits the roots by crc32(entity) % S with
+        # Ray tasks, and the walk input is one block per shard — so every
+        # walk batch arrives already routed to its owner shard: the lazy
         # ShardedLocalGraph in each task resolves its batch's owner
         # shard plus the shards its hops cross — O(graph/S + touched)
         # resident per worker, not all 2·S shard arrays.
-        entities_ref, keep_dir = build_keepset_refs(
+        entities_ref, tables = build_keepset_refs(
             entities.select_columns(["entity"]), num_shards=gi.num_shards
         )
-        ents_ds = ray.data.read_parquet(keep_dir.path).select_columns(
-            ["entity"])
+        ents_ds = ray.data.from_arrow_refs(tables)
     else:
-        keep_dir = None
         entities_ref = ray.put(frozenset(entities))
         ents_ds = ray.data.from_arrow(
             pa.table({"entity": pa.array(entities, pa.string())})
@@ -422,9 +386,7 @@ def extract_walks(
         "custom_fn": custom_fn,
     }
 
-    # the UDF holds the keep-set dir, so the dir lives exactly as long
-    # as some Dataset that reads these walks
-    def walk_batch(batch: pa.Table, _keep_dir=keep_dir) -> pa.Table:
+    def walk_batch(batch: pa.Table) -> pa.Table:
         extractor = _EXTRACTOR_CACHE.get(key)
         if extractor is None:
             extractor = WalkExtractor(**kwargs)

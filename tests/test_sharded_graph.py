@@ -11,6 +11,7 @@ import hashlib
 import json
 
 import numpy as np
+import pyarrow as pa
 import pytest
 import ray.data
 
@@ -429,9 +430,8 @@ def test_lazy_shard_owner_routing(pair):
 
 
 def test_walk_temp_dirs_removed_with_walks(tmp_path, monkeypatch):
-    """Walks over Dataset roots write the keep-set parquet to a temp
-    dir; it goes away with the walks, as the graph's goes with the
-    index, so nothing is left in TMPDIR."""
+    """Walks over Dataset roots leave nothing in TMPDIR once the walks
+    and the index are gone: the graph's temp dir goes with the index."""
     import gc
     import os
     import tempfile
@@ -446,31 +446,77 @@ def test_walk_temp_dirs_removed_with_walks(tmp_path, monkeypatch):
                                  {"entity": IRI + "Bob"}])
     walks = extract_walks(gi, roots, WalkerSpec(max_depth=2))
     assert walks.count() > 0
-    assert os.listdir(tmp)
     del gi, walks
     gc.collect()
     assert os.listdir(tmp) == []
 
 
 def test_keepset_lazy_and_shard_routed_input(pair):
-    """Dataset roots: the keep-set parquet doubles as the walk input and
-    its fragments are shard-pure; ShardedKeepSet resolves lazily."""
-    import pyarrow.parquet as pq
+    """Dataset roots: the keep-set build's per-shard tables are the walk
+    input and each holds one shard's roots; ShardedKeepSet resolves
+    lazily."""
     import zlib
 
     from pyrdf2vec_ray.walkers import ShardedKeepSet, build_keepset_refs
 
     ents = [IRI + "Alice", IRI + "Bob", IRI + "Carol", synth.entity_iri(5)]
     ds = ray.data.from_items([{"entity": e} for e in ents])
-    refs, keep_dir = build_keepset_refs(ds, num_shards=4)
-    root = keep_dir.path
+    refs, tables = build_keepset_refs(ds, num_shards=4)
     ks = ShardedKeepSet.from_refs(refs)
     assert sum(a is not None for a in ks.shards) == 0
     assert (IRI + "Alice") in ks and (IRI + "Nope") not in ks
     assert sum(a is not None for a in ks.shards) <= 2
-    # read-back fragments are shard-pure: every file holds one shard
-    t = pq.read_table(root)
-    for e in t["entity"].to_pylist():
-        assert e in ks   # round-trips
+    # every table is shard-pure and every root is in exactly one
+    got = []
+    for s, t in enumerate(ray.get(tables)):
+        names = t["entity"].to_pylist()
+        assert all(zlib.crc32(e.encode()) % 4 == s for e in names)
+        got += names
+    assert sorted(got) == sorted(ents)
+    assert all(e in ks for e in got)   # round-trips
     shards_seen = {zlib.crc32(e.encode()) % 4 for e in ents}
     assert len(shards_seen) >= 2   # the fixture actually spans shards
+
+
+def _empty_triples() -> pa.Table:
+    return pa.table({c: pa.array([], pa.string())
+                     for c in ("subj", "pred", "obj")})
+
+
+def test_build_over_zero_triples(tmp_path):
+    """No triples: empty shards, no hops, a fingerprint, and a triples
+    Dataset that reads back zero rows."""
+    sh = ShardedGraphIndex.build(ray.data.from_arrow(_empty_triples()),
+                                 num_shards=2, scratch_dir=str(tmp_path))
+    g = sh.local()
+    for rev in (False, True):
+        preds, objs = g.get_hops(IRI + "Alice", rev)
+        assert len(preds) == len(objs) == 0
+    assert not g.contains_one(IRI + "Alice")
+    assert sh.fingerprint().startswith("s2e0x")
+    assert sh.triples_dataset().count() == 0
+
+
+def test_build_skips_empty_blocks(sharded_index):
+    """Empty blocks, schema-less ones included, add nothing: the index
+    equals the one built from the non-empty blocks alone."""
+    table = synth.triples_table(synth.LONG_CHAIN + synth.LOOP)
+    ds = ray.data.from_arrow([pa.table({}), table.slice(0, 5),
+                              _empty_triples(), table.slice(5)])
+    sh = ShardedGraphIndex.build(ds, num_shards=2)
+    assert sh.fingerprint() == sharded_index(table, num_shards=2).fingerprint()
+    assert sh.triples_dataset().count() == table.num_rows
+
+
+def test_build_runs_one_ray_data_job(ray_jobs):
+    """A lazy input is executed once (its blocks are split by tasks, not
+    shuffled through parquet); a materialized one is not executed."""
+    lazy = ray.data.from_arrow(TABLE).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    with ray_jobs() as jobs:
+        a = ShardedGraphIndex.build(lazy, num_shards=4)
+    assert jobs.count == 1
+    with ray_jobs() as jobs:
+        b = ShardedGraphIndex.build(ray.data.from_arrow(TABLE), num_shards=4)
+    assert jobs.count == 0
+    assert a.fingerprint() == b.fingerprint()
