@@ -18,11 +18,11 @@ objects: every step runs in a pooled worker and no actor is started.
 one and one by default; `embedders_dist` names the same classes with
 four splits and two shards.
 
-- **Corpus**: split i (every num_workers-th walk of `fit`, or the Arrow
-  block refs of one ``Dataset.split`` in `fit_dataset`, never a driver
-  list) goes to one `count_walks` task, which reads it once: one sorted
-  factorize gives both the split's token codes and its partial
-  vocabulary.
+- **Corpus**: split i (every num_workers-th walk of `fit`, or the i-th
+  contiguous run of the corpus's Arrow block refs in `fit_dataset`,
+  never a driver list) goes to one `count_walks` task, which reads it
+  once: one sorted factorize gives both the split's token codes and its
+  partial vocabulary.
 - **Vocabulary**: the driver folds at most ``num_workers`` partial
   vocabularies with `merge_vocab`; there is no vocabulary exchange.  The
   sorted token array + counts are the only vocab-scale driver state (=
@@ -58,8 +58,9 @@ and the mini-batched update (`SGNS.train_epoch` → `SGNS._chunk_update`).
 FastText subwords follow the reference exactly: IRI → split on '#' →
 whole-fragment "ngrams", pure-Python FNV-1a (unmasked, as in
 fasttext.py:203-214) mod `bucket`; OOV vector = mean of ngram-bucket
-vectors (fasttext.py:130-156).  The bucket matrix comes from one bucket
-exchange over the trained shards (see `FastText`).
+vectors (fasttext.py:130-156).  No bucket matrix is built: one task per
+trained shard hashes its tokens, and an OOV lookup reads the rows of the
+buckets it needs from the shards (see `FastText`).
 """
 
 from __future__ import annotations
@@ -134,8 +135,11 @@ def token_ids(vocab: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return np.searchsorted(vocab, tokens.astype(vocab.dtype)).astype(np.int64)
 
 
+@ray.remote
 def neg_table(counts: np.ndarray, seed: int, size: int = 1 << 20) -> np.ndarray:
-    """Unigram^0.75 negative-sampling table."""
+    """Unigram^0.75 negative-sampling table, built in a task: the 8 MiB
+    table is written to the object store by a worker, never the driver
+    (a driver put keeps its plasma pages in the driver's RSS)."""
     p = np.asarray(counts, dtype=np.float64) ** 0.75
     p /= p.sum()
     return np.random.RandomState(seed).choice(
@@ -449,17 +453,6 @@ def _arrow_rows(names: np.ndarray, W: np.ndarray) -> pa.Table:
 
 
 @ray.remote
-def shard_table(names: np.ndarray, shard: tuple) -> pa.Table:
-    return _arrow_rows(names, shard[0])
-
-
-@ray.remote
-def pick_buckets(need: np.ndarray, buckets: pa.Table) -> pa.Table:
-    keep = np.isin(buckets["bucket"].to_numpy(), need)
-    return buckets.filter(pa.array(keep))
-
-
-@ray.remote
 def write_shard(path: str, names: np.ndarray, shard: tuple) -> int:
     """Resumable per-shard embeddings sink: this shard's rows only."""
     import pyarrow.parquet as pq
@@ -529,7 +522,7 @@ class Word2Vec:
                               vocab_ref, *old)
             for i, (lo, hi) in enumerate(bounds)
         ]
-        table = ray.put(neg_table(counts, cfg.seed))
+        table = neg_table.remote(counts, cfg.seed)
         corpora = [remap_corpus.remote(vocab_ref, *c) for c in counted]
         del counted   # the remap tasks hold the codes now
 
@@ -569,10 +562,13 @@ class Word2Vec:
         """Dataset API: the corpus never lands on the driver — split i
         is counted from its Arrow block refs, with no vocabulary
         exchange."""
-        # equal=True would silently DROP rows when the corpus size is not
-        # divisible by num_workers; the epoch tasks tolerate uneven splits.
-        splits = walks_ds.split(self.num_workers, equal=False)
-        return self._fit([sp.to_arrow_refs() for sp in splits], is_update)
+        # split i is the i-th contiguous run of the corpus's Arrow blocks,
+        # as Dataset.split(equal=False) cuts them, with no Ray Data job
+        # on a materialized corpus: to_arrow_refs() of an EMPTY split
+        # runs one for its schema.  equal=True would silently DROP rows.
+        refs = walks_ds.materialize().to_arrow_refs()
+        runs = np.array_split(np.arange(len(refs)), self.num_workers)
+        return self._fit([[refs[i] for i in run] for run in runs], is_update)
 
     # -- output --------------------------------------------------------------
 
@@ -645,21 +641,42 @@ def mean_of_buckets(hashes: list[int], bucket_vecs: dict, dim: int) -> np.ndarra
     return vec / hits if hits else vec
 
 
+@ray.remote
+def hash_shard(names: np.ndarray, fn_ngrams, bucket: int):
+    """One parameter shard's (bucket, row) pairs: one per (token, ngram),
+    duplicates kept, rows local to the shard and in token order."""
+    buckets, rows = [], []
+    for i, t in enumerate(names.tolist()):
+        for n in fn_ngrams(t, 0, 0):
+            buckets.append(ft_hash_bytes(n) % bucket)
+            rows.append(i)
+    return np.array(buckets, np.int64), np.array(rows, np.int64)
+
+
+@ray.remote
+def bucket_rows(need: np.ndarray, pairs: tuple, shard: tuple):
+    """The (bucket, word vector) rows of one shard whose bucket is in
+    ``need``, in the shard's token order."""
+    buckets, rows = pairs
+    keep = np.isin(buckets, need)
+    return buckets[keep], shard[0][rows[keep]]
+
+
 class FastText(Word2Vec):
     """FastText variant (reference embedders/fasttext.py:130-156): word
     vectors train exactly like :class:`Word2Vec`, plus an ngram-bucket
     matrix — bucket vector = mean of the word vectors whose subwords
     FNV-1a-hash to it.
 
-    The bucket matrix is computed DISTRIBUTED: one task per parameter
-    shard turns its rows into a (token, vector) block of a Dataset
-    (``from_arrow_refs``, never a driver collect), tokens fan out to one
-    row per (bucket, vector), and ONE bucket shuffle reduces the means,
-    so the 2M-bucket × dim matrix never lives on any single process.
-    Group rows are summed in sorted-token order, so bucket vectors are
-    deterministic under any partitioning (pairwise float32 summation).
-    OOV ``transform`` pulls ONLY the buckets the requested entities hash
-    to (one filter task per bucket block, bounded by #entities × ngrams)."""
+    The bucket matrix is never built: the reference reads bucket vectors
+    only through OOV lookups, so a fit hashes each parameter shard's
+    tokens once (one `hash_shard` task per shard, its (bucket, row)
+    pairs held as refs like the shards), and `_lookup_buckets` runs one
+    `bucket_rows` task per shard for the buckets the requested entities
+    hash to.  The driver joins those rows in shard order, which is
+    sorted-token order, sorts them stably by bucket and takes each mean,
+    so a bucket's rows are summed in sorted-token order under any
+    sharding (float32, ``M.sum(axis=0) / len(M)``)."""
 
     _BY_VALUE = ("_shards", "_buckets")
 
@@ -669,7 +686,7 @@ class FastText(Word2Vec):
         super().__init__(num_workers=num_workers, num_ps=num_ps, **kwargs)
         self.bucket = bucket
         self.func_computing_ngrams = func_computing_ngrams or compute_ngrams_bytes
-        self._buckets: list | None = None   # Arrow (bucket, vector) blocks
+        self._buckets: list | None = None   # per shard: (buckets, rows)
 
     def ft_ngram_hashes(self, entity: str) -> list[int]:
         return [
@@ -677,91 +694,33 @@ class FastText(Word2Vec):
             for n in self.func_computing_ngrams(entity, 0, 0)
         ]
 
-    # -- bucket matrix --------------------------------------------------------
-
-    def _vectors_dataset(self):
-        """Trained (token, vector) rows as a Dataset, one Arrow block
-        per parameter shard — parameters stream object store→tasks."""
-        import ray.data
-
-        shards = self._refs("_shards")
-        return ray.data.from_arrow_refs([
-            shard_table.remote(self.vocab[lo:hi], shards[s])
-            for s, (lo, hi) in enumerate(self._bounds)
-        ])
-
-    def _fit_buckets(self):
-        import pandas as pd
-
-        from pyrdf2vec_ray import shuffle
-
-        B = self.bucket
-        fn_ngrams = self.func_computing_ngrams
-
-        def fanout(batch: pa.Table) -> pa.Table:
-            toks = batch["token"].to_pylist()
-            idx, buckets = [], []
-            for i, t in enumerate(toks):
-                for n in fn_ngrams(t, 0, 0):
-                    idx.append(i)
-                    buckets.append(ft_hash_bytes(n) % B)
-            taken = batch.take(pa.array(idx, pa.int64()))
-            return pa.table({
-                "bkt": pa.array(buckets, pa.int64()),
-                "token": taken["token"],
-                "vector": taken["vector"],
-            })
-
-        def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["bkt", "token"], kind="stable")
-            out_b, out_v = [], []
-            for b, sub in g.groupby("bkt", sort=False):
-                M = np.stack(sub["vector"].to_numpy())
-                out_b.append(int(b))
-                out_v.append((M.sum(axis=0) / len(M)).astype(np.float32)
-                             .tolist())
-            return pd.DataFrame({"bkt": out_b, "vector": out_v})
-
-        def to_arrow(batch: pd.DataFrame) -> pa.Table:
-            return pa.table({
-                "bucket": pa.array(batch["bkt"].tolist(), pa.int64()),
-                "vector": pa.array(batch["vector"].tolist(),
-                                   pa.list_(pa.float32())),
-            })
-
-        buckets = (
-            shuffle.bucket_apply(
-                self._vectors_dataset().map_batches(
-                    fanout, batch_format="pyarrow"
-                ),
-                ["bkt"], per_bucket, batch_format="pandas",
-            )
-            .map_batches(to_arrow, batch_format="pandas")
-            .materialize()
-        )
-        # the bucket exchange leaves empty, schema-less blocks: keep the rest
-        self._buckets = [ref for bundle in buckets.iter_internal_ref_bundles()
-                         for ref, meta in bundle.blocks if meta.num_rows]
-
     def _fit(self, parts: list[list], is_update: bool):
         super()._fit(parts, is_update)
-        self._fit_buckets()
+        self._buckets = [
+            hash_shard.remote(self.vocab[lo:hi], self.func_computing_ngrams,
+                              self.bucket)
+            for lo, hi in self._bounds
+        ]
         return self
 
     # -- lookup ---------------------------------------------------------------
 
     def _lookup_buckets(self, needed: set) -> dict:
-        """Fetch ONLY the requested buckets' vectors (a semi-filter per
-        bucket block — result bounded by |needed|)."""
+        """The vectors of the ``needed`` buckets that any token hits:
+        ``{bucket: float32 mean}``."""
         if not needed or not self._buckets:
             return {}
         need = np.array(sorted(int(h) for h in needed), dtype=np.int64)
-        out: dict[int, np.ndarray] = {}
-        for t in ray.get([pick_buckets.remote(need, b)
-                          for b in self._refs("_buckets")]):
-            for b, v in zip(t["bucket"].to_pylist(), t["vector"].to_pylist()):
-                out[int(b)] = np.asarray(v, dtype=np.float32)
-        return out
+        parts = ray.get([
+            bucket_rows.remote(need, pairs, shard) for pairs, shard
+            in zip(self._refs("_buckets"), self._refs("_shards"))
+        ])
+        buckets = np.concatenate([b for b, _ in parts])
+        order = np.argsort(buckets, kind="stable")
+        vecs = np.concatenate([v for _, v in parts], dtype=np.float32)[order]
+        keys, starts = np.unique(buckets[order], return_index=True)
+        return {int(k): M.sum(axis=0) / len(M)
+                for k, M in zip(keys, np.split(vecs, starts[1:]))}
 
     def get_vector(self, entity: str) -> np.ndarray:
         return self.transform([entity])[0]

@@ -120,10 +120,7 @@ def test_distributed_fasttext_buckets_and_oov():
                 counts[h] = 1
     expect = {h: sums[h] / counts[h] for h in sums}
 
-    got = {}
-    for b in ray.get(m._buckets):
-        for h, v in zip(b["bucket"].to_pylist(), b["vector"].to_pylist()):
-            got[int(h)] = np.asarray(v, dtype=np.float32)
+    got = m._lookup_buckets(set(range(B)))
     assert set(got) == set(expect)
     for h in expect:
         assert np.allclose(got[h], expect[h], atol=1e-6), h
@@ -269,6 +266,38 @@ def test_fit_dataset_runs_no_vocab_exchange(monkeypatch):
     m = DistributedWord2Vec(num_workers=2, num_ps=1, vector_size=4,
                             epochs=1, seed=3).fit_dataset(_walks_ds(CORPUS))
     assert list(m.vocab) == ["a", "b", "c", "p", "q", "r"]
+
+
+@pytest.mark.parametrize("nw,nps", [(1, 1), (2, 2)])
+def test_fit_runs_no_ray_data_job(ray_jobs, nw, nps):
+    """Training is tasks over object refs: FastText.fit on a list
+    corpus (its buckets included) and fit_dataset on a materialized
+    corpus run no Ray Data job."""
+    ds = _walks_ds(CORPUS).materialize()
+    kw = dict(bucket=997, num_workers=nw, num_ps=nps, vector_size=4,
+              epochs=1, seed=3)
+    with ray_jobs() as jobs:
+        m = FastText(**kw).fit(CORPUS)
+        assert len(m.transform(OOV)) == 2
+        assert jobs.count == 0
+        assert len(FastText(**kw).fit_dataset(ds).vocab) == 6
+        assert jobs.count == 0
+
+
+def test_fit_puts_no_large_object_from_driver(monkeypatch):
+    """The driver puts nothing vocab-independent and large: the 8 MiB
+    negative table is built in a task (a driver put keeps the plasma
+    pages it writes in the driver's RSS)."""
+    real = ray.put
+    sizes = []
+
+    def put(value, *args, **kwargs):
+        sizes.append(len(pickle.dumps(value, protocol=5)))
+        return real(value, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", put)
+    Word2Vec(vector_size=4, epochs=1, seed=3).fit(CORPUS)
+    assert sizes and max(sizes) < 1 << 20
 
 
 def test_fit_creates_no_actor(monkeypatch):
