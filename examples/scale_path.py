@@ -3,10 +3,10 @@ materialization of corpus, graph, or weights:
 
   docs → construct_kg (one dedup shuffle)
        → ShardedGraphIndex.build (crc32 block split, one CSR task
-         per shard)
+         per (direction, shard): the materialized graph)
        → extract_walks (name-routed hop lookups) → explode to a corpus
        → DistributedWord2Vec.fit_dataset (vocab-sharded parameter
-         servers, Dataset.split corpus shards)
+         shards, corpus splits cut from the block refs)
        → per-shard parquet embeddings sink.
 
 Run: PYTHONPATH=.. python scale_path.py

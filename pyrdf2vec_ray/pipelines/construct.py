@@ -1,10 +1,11 @@
-"""KG construction: documents → mentions → linked triples → dedup → adjacency.
+"""KG construction: documents → mentions → linked triples → dedup.
 
 Ray-Data-native replacement for the reference's KG.__attrs_post_init__
 file parse + add_walk loop (graphs/kg.py:142-216).  Every stage is a
-Dataset transform; the only shuffles are the triple dedup
-(groupby(subj,pred,obj)) and the adjacency materialize (groupby(subj)) —
-see SURVEY.md §4's shuffle inventory.
+Dataset transform; the only shuffle is the triple dedup
+(groupby(subj,pred,obj)).  The materialized graph is the sharded CSR
+that ``state/sharded_graph.ShardedGraphIndex.build`` makes of the
+triples, by task splits with no exchange.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import pyarrow as pa
 
 import ray.data
 
-from pyrdf2vec_ray.schemas import HOP_STRUCT
 from pyrdf2vec_ray.stages.extract import MentionExtractor
 from pyrdf2vec_ray.stages.link import CandidateIndex, EntityLinker
 
@@ -69,77 +69,6 @@ def dedup_triples(
         ["subj", "pred", "obj"],
         num_buckets=num_buckets,
     )
-
-
-def materialize_adjacency(
-    triples: ray.data.Dataset, max_hops_per_row: int = 100_000
-) -> ray.data.Dataset:
-    """`adjacency` table: one row per subject with its sorted (pred, obj)
-    hop list (≡ _transition_matrix / get_hops, kg.py:445-467).  Hub
-    subjects with more than `max_hops_per_row` hops are salt-split across
-    several rows (`part` column) so no single Arrow row explodes a block
-    (SURVEY.md §7 "very wide records")."""
-
-    from pyrdf2vec_ray.shuffle import bucket_apply
-
-    def bucket_rows(g: pa.Table) -> pa.Table:
-        # all triples of every subject hashed to this bucket: one vectorized
-        # sort + grouped list-assembly (no per-subject task churn)
-        g = g.sort_by(
-            [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
-        )
-        agg = g.group_by("subj", use_threads=False).aggregate(
-            [("pred", "list"), ("obj", "list")]
-        )
-        pred_lists = agg["pred_list"]
-        obj_lists = agg["obj_list"]
-        # zip the parallel lists into list<struct<pred,obj>> reusing offsets
-        pl_c = pred_lists.combine_chunks()
-        ol_c = obj_lists.combine_chunks()
-        structs = pa.StructArray.from_arrays(
-            [pl_c.flatten(), ol_c.flatten()], names=["pred", "obj"]
-        )
-        hop_lists = pa.ListArray.from_arrays(pl_c.offsets, structs)
-
-        # the assembled ListArray IS the output for every subject under
-        # the cap — emit it zero-copy and loop only over the (rare)
-        # hot-key subjects that need salt-splitting
-        import numpy as np
-
-        hop_lists = hop_lists.cast(pa.list_(HOP_STRUCT))
-        lens = np.diff(hop_lists.offsets.to_numpy())
-        subj_arr = agg["subj"].combine_chunks()
-        over = np.flatnonzero(lens > max_hops_per_row)
-        if len(over) == 0:
-            return pa.table(
-                {"subj": subj_arr,
-                 "part": pa.array(np.zeros(len(lens), dtype=np.int32)),
-                 "out": hop_lists}
-            )
-        under = np.flatnonzero(lens <= max_hops_per_row)
-        t_under = pa.table(
-            {"subj": subj_arr.take(pa.array(under)),
-             "part": pa.array(np.zeros(len(under), dtype=np.int32)),
-             "out": hop_lists.take(pa.array(under))}
-        )
-        rows_subj, rows_part, rows_out = [], [], []
-        for i in over:  # hot-key salt split (SURVEY.md §7 "very wide records")
-            hops = hop_lists[int(i)].as_py()
-            subj_i = subj_arr[int(i)].as_py()
-            for part, lo in enumerate(range(0, len(hops), max_hops_per_row)):
-                rows_subj.append(subj_i)
-                rows_part.append(part)
-                rows_out.append(hops[lo : lo + max_hops_per_row])
-        t_over = pa.Table.from_pydict(
-            {
-                "subj": pa.array(rows_subj, pa.string()),
-                "part": pa.array(rows_part, pa.int32()),
-                "out": pa.array(rows_out, pa.list_(HOP_STRUCT)),
-            }
-        )
-        return pa.concat_tables([t_under, t_over]).combine_chunks()
-
-    return bucket_apply(triples, ["subj"], bucket_rows, num_buckets=None)
 
 
 def construct_kg(

@@ -58,17 +58,6 @@ TRIPLES = pa.schema(
     ]
 )
 
-# ---- materialized graph (≡ _transition_matrix / _inv, kg.py:122-133) ------
-
-HOP_STRUCT = pa.struct([("pred", pa.string()), ("obj", pa.string())])
-
-ADJACENCY = pa.schema(
-    [
-        ("subj", pa.string()),
-        ("out", pa.list_(HOP_STRUCT)),
-    ]
-)
-
 # ---- walks (≡ EntityWalks, typings.py:13) ---------------------------------
 
 WALKS = pa.schema(

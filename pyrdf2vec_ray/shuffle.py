@@ -27,9 +27,8 @@ either op in 300 s at ``num_cpus=1``.
 
 ``num_buckets`` sizing at scale: ≈ input_bytes / target_partition_bytes
 (128 MiB); each bucket must fit a worker's heap.  Hot single keys are
-fine for dedup/adjacency (a key's rows collapse to one output row), but
-callers with heavy per-key payloads must salt (see
-construct.materialize_adjacency's max_hops_per_row).
+fine for dedup and counts (a key's rows collapse to one output row), but
+a caller whose kernel keeps a heavy per-key payload must salt its key.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@ add_vertex / add_edge / remove_edge, graphs/kg.py:166-216, 377-397).
 
 The reference mutates in-memory sets; here the triples Dataset is the
 graph, so edits are dataset algebra: add = union + dedup, remove =
-vectorized anti-filter.  Re-materialize adjacency / the GraphIndex
-after a batch of edits (edits are batch-oriented, like everything in
-this engine).
+vectorized anti-filter.  Rebuild the ShardedGraphIndex (or a
+whole-graph GraphIndex) after a batch of edits (edits are
+batch-oriented, like everything in this engine).
 """
 
 from __future__ import annotations

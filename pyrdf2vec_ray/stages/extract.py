@@ -66,21 +66,3 @@ class MentionExtractor:
             },
             schema=MENTIONS,
         )
-
-
-def span_invariant_columns(batch: pa.Table) -> pa.Table:
-    """Per-row span-sequence fingerprint (kind, text, media_ref, order) used
-    to assert the input_hint invariant: the pipeline must not disturb the
-    span sequence of any document."""
-    spans = batch["spans"]
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    flat = spans.flatten()
-    joined = pc.binary_join_element_wise(
-        flat.field("kind"), flat.field("text"), flat.field("media_ref"), "\x1f"
-    )
-    seq = pa.ListArray.from_arrays(spans.offsets, joined)
-    fingerprint = pc.binary_join(seq, "\x1e")
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"], "span_seq": fingerprint}
-    )

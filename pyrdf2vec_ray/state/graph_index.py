@@ -1,18 +1,19 @@
 """Compact CSR adjacency kernel over a triples table.
 
 Replaces the reference's dict-of-sets transition matrices
-(graphs/kg.py:122-133, _get_hops kg.py:445-467).  Vertices are interned
-to int32 ids; forward adjacency is (indptr, pred_ids, obj_ids) sorted by
-(subj, pred, obj) and reverse adjacency mirrors it by object — so
-``get_hops`` is two zero-copy numpy slices instead of a set product.
+(graphs/kg.py:122-133, _get_hops kg.py:445-467).  ``intern`` maps every
+vertex and predicate name to an int32 id (the position in its sorted
+vocabulary); ``csr`` sorts one direction's edges by (key, pred, other)
+into (indptr, pred_ids, other_ids) — so a hop lookup is two zero-copy
+numpy slices instead of a set product.
 
-This module is the per-shard kernel, not a serving backend: every shard
-of ``state/sharded_graph.ShardedGraphIndex`` is one ``GraphArrays``
-built by ``GraphIndex.from_table``, and walks and literals are served
-only by that sharded index.  A whole-graph ``GraphIndex`` is still built
-on the driver where a whole-graph algorithm needs every edge at once
-(``stats.vertex_stats``: PageRank, Louvain) and as the reference oracle
-for the Dataset-side fits (``stages.wl.wl_labels``).
+Every shard of ``state/sharded_graph.ShardedGraphIndex`` is ONE ``csr``
+over its own vocabulary: a forward shard keyed by subj, a reverse shard
+by obj; walks and literals are served only by that sharded index.  A
+whole-graph ``GraphIndex`` (``intern`` plus both ``csr`` directions) is
+still built on the driver where a whole-graph algorithm needs every
+edge at once (``stats.vertex_stats``: PageRank, Louvain) and as the
+reference oracle for the Dataset-side fits (``stages.wl.wl_labels``).
 """
 
 from __future__ import annotations
@@ -23,9 +24,42 @@ import numpy as np
 import pyarrow as pa
 
 
+def intern(triples: pa.Table) -> tuple:
+    """(names, s_id, p_id, o_id): the sorted distinct names of the
+    subj, pred and obj columns as one fixed-width unicode array, and each
+    column's ids into it."""
+    import pandas as pd
+
+    subj = np.asarray(triples["subj"].to_numpy(zero_copy_only=False))
+    pred = np.asarray(triples["pred"].to_numpy(zero_copy_only=False))
+    obj = np.asarray(triples["obj"].to_numpy(zero_copy_only=False))
+
+    # hash-based factorize, NOT np.unique: sorting 4M object strings
+    # by comparison took 29 s at sf0.1 vs 1 s for factorize(sort=True)
+    # — identical sorted names and codes (measured equal)
+    codes, uniq = pd.factorize(np.concatenate([subj, pred, obj]), sort=True)
+    # fixed-width unicode, NOT object dtype: a U-array is one contiguous
+    # buffer, so ray.put/ray.get maps it zero-copy from the object store
+    # instead of re-pickling 100k+ Python strings into every walk actor
+    names = np.asarray(uniq).astype(np.str_)
+    n = len(subj)
+    return names, codes[:n], codes[n : 2 * n], codes[2 * n :]
+
+
+def csr(key: np.ndarray, a: np.ndarray, b: np.ndarray,
+        num_vertices: int) -> tuple:
+    """(indptr, a, b) of the edges sorted by (key, a, b): the edges of
+    vertex v are ``a[indptr[v]:indptr[v+1]]`` / ``b[...]``."""
+    order = np.lexsort((b, a, key))
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.add.at(indptr, key[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, a[order].astype(np.int32), b[order].astype(np.int32)
+
+
 @dataclass
 class GraphArrays:
-    names: np.ndarray        # object array of vertex/predicate names, id = position
+    names: np.ndarray        # sorted vertex/predicate names, id = position
     fwd_indptr: np.ndarray   # int64[num_vertices+1]
     fwd_pred: np.ndarray     # int32[num_edges]
     fwd_obj: np.ndarray      # int32[num_edges]
@@ -46,49 +80,17 @@ class GraphIndex:
 
     @staticmethod
     def from_table(triples: pa.Table) -> "GraphIndex":
-        import pandas as pd
-
-        subj = np.asarray(triples["subj"].to_numpy(zero_copy_only=False))
-        pred = np.asarray(triples["pred"].to_numpy(zero_copy_only=False))
-        obj = np.asarray(triples["obj"].to_numpy(zero_copy_only=False))
-
-        # hash-based factorize, NOT np.unique: sorting 4M object strings
-        # by comparison took 29 s at sf0.1 vs 1 s for factorize(sort=True)
-        # — identical sorted names and codes (measured equal)
-        codes, uniq = pd.factorize(
-            np.concatenate([subj, pred, obj]), sort=True
-        )
-        names = np.asarray(uniq)
-        # fixed-width unicode, NOT object dtype: a U-array is one contiguous
-        # buffer, so ray.put/ray.get maps it zero-copy from the object store
-        # instead of re-pickling 100k+ Python strings into every walk actor
-        names = names.astype(np.str_)
-        n = len(subj)
-        s_id, p_id, o_id = codes[:n], codes[n : 2 * n], codes[2 * n :]
+        names, s_id, p_id, o_id = intern(triples)
         nv = len(names)
-
         is_entity = np.zeros(nv, dtype=bool)
         is_entity[s_id] = True
         is_entity[o_id] = True
         is_pred = np.zeros(nv, dtype=bool)
         is_pred[p_id] = True
-
-        def csr(key, a, b):
-            order = np.lexsort((b, a, key))
-            key_s = key[order]
-            indptr = np.zeros(nv + 1, dtype=np.int64)
-            np.add.at(indptr, key_s + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            return indptr, a[order].astype(np.int32), b[order].astype(np.int32)
-
-        f_indptr, f_pred, f_obj = csr(s_id, p_id, o_id)
-        r_indptr, r_pred, r_subj = csr(o_id, p_id, s_id)
-        return GraphIndex(
-            GraphArrays(
-                names, f_indptr, f_pred, f_obj, r_indptr, r_pred, r_subj,
-                is_entity, is_pred,
-            )
-        )
+        return GraphIndex(GraphArrays(
+            names, *csr(s_id, p_id, o_id, nv), *csr(o_id, p_id, s_id, nv),
+            is_entity, is_pred,
+        ))
 
     @staticmethod
     def from_dataset(triples_ds) -> "GraphIndex":

@@ -7,13 +7,14 @@ lazy input, none on a materialized one) and each non-empty block goes
 to one split task, which cuts it into S forward pieces keyed by
 ``crc32(subj) % S`` and S reverse pieces keyed by ``crc32(obj) % S``.
 One Ray task per (direction, shard) then concatenates its pieces and
-builds the CSR kernel of ``state/graph_index.py``
-(``GraphIndex.from_table``), leaving the arrays in the object store; a
-forward task also writes its shard's triples as one parquet file under
-``{root}/fwd``, which ``triples_dataset()`` reads.  The driver holds S
-object refs per direction, never the triples.  ``num_shards=1`` is the
-single-CSR case: one forward and one reverse array set holding every
-triple.
+builds that shard's ONE CSR with the kernel of ``state/graph_index.py``
+(``intern`` + ``csr``): a forward shard's keyed by subj, a reverse
+shard's by obj.  The arrays stay in the object store, and these 2·S
+CSRs are the materialized graph; a forward task also writes its
+shard's triples as one parquet file under ``{root}/fwd``, which
+``triples_dataset()`` reads.  The driver holds S object refs per
+direction, never the triples.  ``num_shards=1`` is one forward and one
+reverse CSR, each holding every triple.
 
 Serve: hop lookups route by vertex NAME — shard ``crc32(name) % S``
 owns every triple whose subj (resp. obj) is that name, so one shard
@@ -39,15 +40,27 @@ from __future__ import annotations
 import shutil
 import weakref
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 
 import ray
 
-from pyrdf2vec_ray.state.graph_index import GraphArrays, GraphIndex
+from pyrdf2vec_ray.state.graph_index import csr, intern
 
 TRIPLE_COLS = ["subj", "pred", "obj"]
+
+
+@dataclass
+class ShardCSR:
+    """One (direction, shard)'s CSR over its own sorted vocabulary: the
+    edges keyed by vertex id ``v`` are ``pred[indptr[v]:indptr[v+1]]``
+    and ``other[...]`` (objects forward, subjects reverse)."""
+    names: np.ndarray    # sorted fixed-width names, id = position
+    indptr: np.ndarray   # int64[len(names)+1]
+    pred: np.ndarray     # int32[num_edges]
+    other: np.ndarray    # int32[num_edges]
 
 
 def shard_of(name: str, num_shards: int) -> int:
@@ -117,14 +130,14 @@ def concat_pieces(pieces: tuple, cols: list) -> pa.Table:
 
 
 @ray.remote
-def _shard_crc(a: GraphArrays) -> tuple[int, int, int]:
-    """(vertices, edges, crc32 over the forward CSR and vocabulary) of
-    one shard, computed in a worker; only three ints reach the caller."""
-    h = zlib.crc32(a.fwd_pred.tobytes())
-    h = zlib.crc32(a.fwd_obj.tobytes(), h)
-    h = zlib.crc32(a.fwd_indptr.tobytes(), h)
+def _shard_crc(a: ShardCSR) -> tuple[int, int, int]:
+    """(vertices, edges, crc32 over the CSR and vocabulary) of one
+    shard, computed in a worker; only three ints reach the caller."""
+    h = zlib.crc32(a.pred.tobytes())
+    h = zlib.crc32(a.other.tobytes(), h)
+    h = zlib.crc32(a.indptr.tobytes(), h)
     h = zlib.crc32(a.names.tobytes(), h)
-    return len(a.names), len(a.fwd_pred), h
+    return len(a.names), len(a.pred), h
 
 
 def require_sharded(gi, caller: str) -> None:
@@ -140,25 +153,28 @@ def require_sharded(gi, caller: str) -> None:
 
 
 @ray.remote
-def _build_shard(path: str | None, *pieces: pa.Table) -> GraphArrays:
+def _build_shard(path: str | None, *pieces: pa.Table) -> ShardCSR:
     """Concatenate one shard's pieces and build its CSR (runs on any
     worker; the arrays land in that worker's object store, not on the
-    driver).  A forward shard also writes its triples to ``path``, even
-    when it holds none."""
+    driver).  A forward shard, the one given a ``path``, is keyed by
+    subj and also writes its triples there, even when it holds none; a
+    reverse shard is keyed by obj."""
     t = concat_pieces(pieces, TRIPLE_COLS)
-    if path is not None:
-        import os
+    names, s_id, p_id, o_id = intern(t)
+    if path is None:
+        return ShardCSR(names, *csr(o_id, p_id, s_id, len(names)))
+    import os
 
-        import pyarrow.parquet as pq
+    import pyarrow.parquet as pq
 
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        pq.write_table(t, path)
-    return GraphIndex.from_table(t).arrays
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path)
+    return ShardCSR(names, *csr(s_id, p_id, o_id, len(names)))
 
 
 class ShardedGraphIndex:
     """S forward shards (partitioned by subj hash) + S reverse shards
-    (partitioned by obj hash), each a GraphArrays object ref."""
+    (partitioned by obj hash), each a ShardCSR object ref."""
 
     def __init__(self, fwd_refs: list, rev_refs: list, num_shards: int,
                  parquet_root: str):
@@ -254,7 +270,7 @@ class ShardedLocalGraph:
         self._rev_refs = list(rev_refs)
         return self
 
-    def _shard(self, s: int, is_reverse: bool) -> GraphArrays:
+    def _shard(self, s: int, is_reverse: bool) -> ShardCSR:
         arrs = self.rev if is_reverse else self.fwd
         a = arrs[s]
         if a is None:
@@ -268,7 +284,7 @@ class ShardedLocalGraph:
         return (sum(a is not None for a in self.fwd)
                 + sum(a is not None for a in self.rev))
 
-    def _local_id(self, arrays: GraphArrays, name: str) -> int:
+    def _local_id(self, arrays: ShardCSR, name: str) -> int:
         i = int(np.searchsorted(arrays.names, name))
         if i < len(arrays.names) and arrays.names[i] == name:
             return i
@@ -277,27 +293,22 @@ class ShardedLocalGraph:
     def get_hops(self, name: str, is_reverse: bool = False):
         """(pred_names, other_names) in (pred, other) lexicographic order
         — the same for every shard count, so sampled walks are too."""
-        s = shard_of(name, self.num_shards)
-        a = self._shard(s, is_reverse)
+        a = self._shard(shard_of(name, self.num_shards), is_reverse)
         vid = self._local_id(a, name)
         if vid < 0:
             empty = a.names[:0]
             return empty, empty
-        if is_reverse:
-            lo, hi = a.rev_indptr[vid], a.rev_indptr[vid + 1]
-            return a.names[a.rev_pred[lo:hi]], a.names[a.rev_subj[lo:hi]]
-        lo, hi = a.fwd_indptr[vid], a.fwd_indptr[vid + 1]
-        return a.names[a.fwd_pred[lo:hi]], a.names[a.fwd_obj[lo:hi]]
+        lo, hi = a.indptr[vid], a.indptr[vid + 1]
+        return a.names[a.pred[lo:hi]], a.names[a.other[lo:hi]]
 
     def contains_one(self, name: str) -> bool:
         """Entity existence (kg.is_exist): a vertex exists iff it appears
         as some triple's subj (→ key of its forward shard) or obj (→ key
         of its reverse shard); both checks hit exactly one shard each."""
         s = shard_of(name, self.num_shards)
-        f = self._shard(s, False)
-        vid = self._local_id(f, name)
-        if vid >= 0 and f.fwd_indptr[vid + 1] > f.fwd_indptr[vid]:
-            return True
-        r = self._shard(s, True)
-        vid = self._local_id(r, name)
-        return vid >= 0 and r.rev_indptr[vid + 1] > r.rev_indptr[vid]
+        for is_reverse in (False, True):
+            a = self._shard(s, is_reverse)
+            vid = self._local_id(a, name)
+            if vid >= 0 and a.indptr[vid + 1] > a.indptr[vid]:
+                return True
+        return False

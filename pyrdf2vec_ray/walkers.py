@@ -293,11 +293,7 @@ def _fit_cached(gi, key, builder):
     new/edited graph is a new index object, so staleness is impossible."""
     cache = getattr(gi, "_fit_cache", None)
     if cache is None:
-        cache = {}
-        try:
-            gi._fit_cache = cache
-        except AttributeError:   # slotted/frozen index: just refit
-            return builder()
+        cache = gi._fit_cache = {}
     if key not in cache:
         cache[key] = builder()
     return cache[key]

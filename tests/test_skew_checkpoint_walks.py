@@ -1,10 +1,8 @@
 """Skew handling + walk checkpointing: hub-vertex stress with the
-frontier cap, adjacency salting on hubs, resumable walk extraction."""
+frontier cap, resumable walk extraction."""
 
 from pyrdf2vec_ray import synth
 from pyrdf2vec_ray.checkpoint import extract_walks_checkpointed, read_run
-from pyrdf2vec_ray.pipelines.construct import materialize_adjacency
-from pyrdf2vec_ray.sources.graph_edit import from_triples
 from pyrdf2vec_ray.util import to_table
 from pyrdf2vec_ray.walkers import WalkerSpec, extract_walks
 
@@ -37,15 +35,6 @@ def test_frontier_cap_bounds_bfs_explosion(sharded_index):
     t_cap2 = to_table(extract_walks(gi, ["hub"], capped, concurrency=1))
     assert sorted(map(tuple, (tuple(x) for ws in t_cap["walks"].to_pylist() for x in ws))) == \
            sorted(map(tuple, (tuple(x) for ws in t_cap2["walks"].to_pylist() for x in ws)))
-
-
-def test_adjacency_salting_on_hub():
-    ds = from_triples(hub_graph(fanout=30))
-    adj = to_table(materialize_adjacency(ds, max_hops_per_row=10)).to_pandas()
-    hub_rows = adj[adj["subj"] == "hub"]
-    assert len(hub_rows) == 3                      # 30 hops / 10 per row
-    assert sorted(hub_rows["part"]) == [0, 1, 2]
-    assert sum(len(o) for o in hub_rows["out"]) == 30
 
 
 def test_walks_checkpoint_resume(tmp_path, sharded_index):
