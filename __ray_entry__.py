@@ -51,6 +51,16 @@ def _customer_entities(sf_dir: str) -> list[str]:
     return _ENTITY_CACHE[sf_dir]
 
 
+def _order_entities(sf_dir: str) -> list[str]:
+    """Order vertices sorted by key: an order's first hop branches (its
+    customer plus one `contains` hop per line item), so a sampled DFS
+    from it can see its sampler."""
+    import pyarrow.parquet as pq
+
+    keys = pq.read_table(f"{sf_dir}/orders.parquet", columns=["o_orderkey"])
+    return [f"order:{k}" for k in sorted(keys["o_orderkey"].to_pylist())]
+
+
 _GI_CACHE: dict[str, Any] = {}
 _TRIPLES_CACHE: dict[str, Any] = {}
 
@@ -325,16 +335,16 @@ def q_walks_ngram(sf_dir: str):
 
 
 def q_walks_wide_sampled(sf_dir: str):
-    """WideSampler-weighted DFS (A6, samplers/wide.py:50-96)."""
+    """WideSampler-weighted DFS (A6, samplers/wide.py:50-96) from 200
+    orders, whose first hop branches (see ``q_walks_dfs_sampled``)."""
     from pyrdf2vec_ray.samplers import SamplerSpec
-    from pyrdf2vec_ray.walkers import WalkerSpec
+    from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
 
-    return _walker_query(
-        sf_dir,
-        WalkerSpec(strategy="random", max_depth=3, max_walks=6,
-                   random_state=21, sampler=SamplerSpec(kind="wide")),
-        n=200,
-    )
+    spec = WalkerSpec(strategy="random", max_depth=3, max_walks=6,
+                      random_state=21, sampler=SamplerSpec(kind="wide"))
+    return explode_walks(extract_walks(
+        _graph_index(sf_dir), _order_entities(sf_dir)[:200], spec,
+        batch_size=64))
 
 
 def q_walks_wide_exhausted(sf_dir: str):
@@ -4892,12 +4902,15 @@ def q_hits_iter1(sf_dir: str):
 
 def q_walks_dfs_sampled(sf_dir: str):
     """PageRank-sampled DFS on the SHARDED index (name-keyed sampler
-    stats fitted from the parquet-backed triples Dataset)."""
+    stats fitted from the graph shards, one task per shard) from 200
+    orders: an order's first hop branches (its customer and its line
+    items' parts), so the sampler and seed shape the rows, unlike a DFS
+    from a customer, which has one path."""
     from pyrdf2vec_ray.samplers import SamplerSpec
     from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
 
     gi = _graph_index(sf_dir)
-    entities = _customer_entities(sf_dir)[:200]
+    entities = _order_entities(sf_dir)[:200]
     spec = WalkerSpec(
         strategy="random", max_depth=3, max_walks=8, random_state=42,
         sampler=SamplerSpec(kind="pagerank"),

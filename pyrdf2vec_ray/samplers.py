@@ -2,12 +2,14 @@
 
 A sampler is (1) a global fit over the whole graph and (2) a per-hop
 weight function used inside DFS walk tasks.  The fit statistics are
-plain grouped counts over the triples Dataset (``NameFittedSampler.fit``
-runs them as bucket-shuffle counts, keyed by vertex and predicate NAME),
-collected as vocabulary-scale sorted arrays and broadcast to the walk
-tasks.  The Dataset/groupby formulations of the same counts are the
-oracle-checked ``sampler_*`` registry queries.  Weight semantics are
-faithful to the reference per-sampler docstrings below.
+grouped counts of the triples keyed by vertex and predicate NAME,
+computed by one task per graph shard (``ShardedGraphIndex.counts`` and
+``entity_edges``: each count is exact in the shard that owns its key)
+and merged on the driver into vocabulary-scale sorted arrays that are
+broadcast to the walk tasks.  The Dataset/groupby formulations of the
+same counts are the oracle-checked ``sampler_*`` registry queries.
+Weight semantics are faithful to the reference per-sampler docstrings
+below.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pyrdf2vec_ray.state.graph_index import LocalGraph
+from pyrdf2vec_ray.state.graph_index import LocalGraph, distinct_edges
+from pyrdf2vec_ray.state.sharded_graph import pair_key
 
 SAMPLER_KINDS = ("uniform", "objfreq", "predfreq", "objpredfreq", "pagerank", "wide")
 
@@ -43,16 +46,14 @@ def _pagerank_from_pairs(
     personalization: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shared power-iteration core over UNIQUE SORTED (src, dst) id pairs.
-    The sampler fit (names from the triples Dataset) and
-    ``pagerank_scores`` (ids of one CSR) reduce their edges to the same
-    sorted pair list over the same sorted vocabulary, so their scores
-    are bit-identical.
+    The sampler fit (``ShardedGraphIndex.entity_edges``) and
+    ``pagerank_scores`` (one CSR) reduce their edges to the same sorted
+    pair list over the same sorted vocabulary, so their scores are
+    bit-identical.
 
-    ``personalization`` (optional, length = #entity nodes, must sum to
-    1): the restart/teleport vector of PERSONALIZED PageRank (nx
-    semantics: start, teleport and dangling mass all use it).  None →
-    the uniform vector, i.e. classic PageRank — the default path is
-    bit-identical to before the parameter existed."""
+    ``personalization`` (optional, length = #entity nodes, summing to 1)
+    is the restart vector of PERSONALIZED PageRank (nx semantics: start,
+    teleport and dangling mass all use it); None is the uniform vector."""
     nodes = np.flatnonzero(is_entity)
     n = len(nodes)
     if n == 0:
@@ -87,27 +88,16 @@ def _pagerank_from_pairs(
 def pagerank_scores(g: LocalGraph, alpha: float = 0.85, tol: float = 1e-6,
                     max_iter: int = 100) -> np.ndarray:
     """PageRank over the entity-only digraph with parallel (subj, obj)
-    edges collapsed — exactly the graph the reference builds for
-    networkx (samplers/pagerank.py:59-67: nx.DiGraph add_edge dedups).
-    Power iteration with uniform personalization and dangling-mass
-    redistribution, matching networkx.pagerank semantics.  Non-entity
-    ids get score 0.  At cluster scale this is k rounds of
-    edges-join-scores + groupby(dst).sum() (SURVEY.md A5) — implemented
-    as ops/graph.pagerank_rounds (round 5), which never pulls the edge
-    list to the driver and matches this form at 1e-12 (pytest-pinned);
-    the vectorized single-pass form here serves ``stats.vertex_stats``
-    on graphs whose DISTINCT EDGE LIST fits one process, and equals the
-    pagerank sampler's scores bit for bit."""
+    edges collapsed — the graph the reference builds for networkx
+    (samplers/pagerank.py:59-67) — with networkx.pagerank semantics;
+    non-entity ids get score 0.  Serves ``stats.vertex_stats`` on graphs
+    whose distinct edge list fits one process, and equals the pagerank
+    sampler's scores bit for bit; ``ops/graph.pagerank_rounds`` is the
+    cluster-scale form (SURVEY.md A5), pytest-matched at 1e-12."""
     a = g.a
-    # unique entity→entity edges
-    key = a.fwd_obj.astype(np.int64)
-    src = np.repeat(np.arange(g.num_vertices), np.diff(a.fwd_indptr)).astype(np.int64)
-    pair = np.unique(src * g.num_vertices + key)
-    src_u = (pair // g.num_vertices).astype(np.int64)
-    dst_u = (pair % g.num_vertices).astype(np.int64)
-    return _pagerank_from_pairs(
-        src_u, dst_u, a.is_entity, g.num_vertices, alpha, tol, max_iter
-    )
+    return _pagerank_from_pairs(*distinct_edges(a.fwd_indptr, a.fwd_obj),
+                                a.is_entity, g.num_vertices, alpha, tol,
+                                max_iter)
 
 
 def _finalize_weights(
@@ -142,14 +132,13 @@ def _sorted_lookup(keys: np.ndarray, vals: np.ndarray, queries) -> np.ndarray:
 
 @dataclass
 class NameFittedSampler:
-    """Sampler state keyed by vertex NAME, fitted from the triples
-    Dataset with grouped-count shuffles (SURVEY.md §2.4 "→ Ray Data") —
-    the sharded graph index has no global id space.  The collected
-    statistics are vocabulary-scale (one row per distinct vertex /
-    predicate / pair), NOT corpus-scale: they are the broadcast fitted
-    state, exactly like the reference's driver-side sampler.fit
-    (samplers/sampler.py:69-109).  ``hop_probabilities`` is the
-    reference's get_weights (sampler.py:111-136)."""
+    """Sampler state keyed by vertex NAME, fitted from the graph shards
+    with one task per shard — the sharded graph index has no global id
+    space.  The collected statistics are vocabulary-scale (one row per
+    distinct vertex / predicate / pair), NOT corpus-scale: they are the
+    broadcast fitted state, exactly like the reference's driver-side
+    sampler.fit (samplers/sampler.py:69-109).  ``hop_probabilities`` is
+    the reference's get_weights (sampler.py:111-136)."""
 
     spec: SamplerSpec
     node_keys: np.ndarray | None = None
@@ -164,79 +153,40 @@ class NameFittedSampler:
     out_deg: np.ndarray | None = None
 
     @staticmethod
-    def fit(spec: SamplerSpec, triples) -> "NameFittedSampler":
-        """``triples`` is a zero-arg callable returning the triples
-        Dataset, called only by the branches that count over it: a
-        parquet-backed Dataset starts Ray tasks to sample its files as
-        soon as it is built, and e.g. ``uniform`` without ``split``
-        reads nothing."""
-        from pyrdf2vec_ray.shuffle import bucket_count, distinct
-        from pyrdf2vec_ray.util import to_table
-
-        def counts(cols: list[str]):
-            t = to_table(bucket_count(triples(), cols, "n"))
-            if len(cols) == 1:
-                keys = np.asarray(t[cols[0]].to_numpy(zero_copy_only=False))
-            else:
-                parts = [
-                    np.asarray(t[c].to_numpy(zero_copy_only=False)).astype(object)
-                    for c in cols
-                ]
-                joined = parts[0]
-                for p in parts[1:]:
-                    joined = joined + "\x1f" + p
-                keys = joined
-            keys = keys.astype(np.str_)
-            vals = t["n"].to_numpy().astype(np.float64)
-            order = np.argsort(keys)
-            return keys[order], vals[order]
-
+    def fit(spec: SamplerSpec, gi) -> "NameFittedSampler":
+        """Fit from the shards of ``gi`` (a ``ShardedGraphIndex``): each
+        statistic a kind reads is one task per shard plus a merge on the
+        driver (``counts``, ``entity_edges``); a kind reads nothing else,
+        so e.g. ``uniform`` without ``split`` starts no task."""
         fs = NameFittedSampler(spec=spec)
-        # in-degree is a full exchange over the triples; only the split
-        # divisor and the objfreq weights read it
+        # only the split divisor and the objfreq weights read in-degree
         if spec.split or spec.kind == "objfreq":
-            fs.in_keys, fs.in_deg = counts(["obj"])
+            fs.in_keys, fs.in_deg = gi.counts("obj")
         if spec.kind == "objfreq":
             # in-degree of the target entity (frequency.py:46-81)
             fs.node_keys, fs.node_w = fs.in_keys, fs.in_deg
         elif spec.kind == "predfreq":
             # occurrences of the predicate name (frequency.py:116-152)
-            fs.pred_keys, fs.pred_w = counts(["pred"])
+            fs.pred_keys, fs.pred_w = gi.counts("pred")
         elif spec.kind == "objpredfreq":
             # occurrences of each (pred, obj) pair (frequency.py:188-227)
-            fs.pair_keys, fs.pair_w = counts(["pred", "obj"])
+            fs.pair_keys, fs.pair_w = gi.counts("pred", "obj")
         elif spec.kind == "wide":
             # (nc[pred]+nc[obj]) * ((pred_deg[pred]+obj_deg[obj])/2), where —
             # per the reference's per-vertex loop (wide.py:50-96) — nc of a
             # predicate name resolves to 1 (each predicate instance has
             # exactly one parent), nc of an entity is its out-degree, and
             # obj_deg of an entity is 1 (vertices are unique by name).
-            fs.pred_keys, fs.pred_w = counts(["pred"])
-            fs.out_keys, fs.out_deg = counts(["subj"])
+            fs.pred_keys, fs.pred_w = gi.counts("pred")
+            fs.out_keys, fs.out_deg = gi.counts("subj")
         elif spec.kind == "pagerank":
             # unique entity→entity edges, collapsed like the reference's
-            # nx.DiGraph; the collected pair list is E×2 ids, far smaller
-            # than the triple strings, and the score vector is the
-            # broadcast fitted state either way
-            pairs = to_table(distinct(triples(), ["subj", "obj"]))
-            src = np.asarray(pairs["subj"].to_numpy(zero_copy_only=False))
-            dst = np.asarray(pairs["obj"].to_numpy(zero_copy_only=False))
-            # factorize(sort=True), not np.unique: comparison-sorting
-            # millions of object strings is ~30x slower (measured)
-            import pandas as _pd
-
-            codes, uniq = _pd.factorize(np.concatenate([src, dst]), sort=True)
-            ents = np.asarray(uniq).astype(np.str_)
-            n = len(ents)
-            s_id = codes[: len(src)].astype(np.int64)
-            d_id = codes[len(src):].astype(np.int64)
-            pair_key = np.unique(s_id.astype(np.int64) * n + d_id.astype(np.int64))
-            fs.node_keys = ents
+            # nx.DiGraph; the collected pair list is E×2 ids, and the
+            # score vector is the broadcast fitted state
+            fs.node_keys, src, dst = gi.entity_edges()
+            n = len(fs.node_keys)
             fs.node_w = _pagerank_from_pairs(
-                (pair_key // n).astype(np.int64),
-                (pair_key % n).astype(np.int64),
-                np.ones(n, dtype=bool), n, alpha=spec.alpha,
-            )
+                src, dst, np.ones(n, dtype=bool), n, alpha=spec.alpha)
         return fs
 
     def hop_probabilities(self, preds, others):
@@ -253,10 +203,8 @@ class NameFittedSampler:
         elif k == "predfreq":
             w = _sorted_lookup(self.pred_keys, self.pred_w, preds)
         elif k == "objpredfreq":
-            q = np.asarray(
-                [f"{p}\x1f{o}" for p, o in zip(preds, others)], dtype=np.str_
-            )
-            w = _sorted_lookup(self.pair_keys, self.pair_w, q)
+            w = _sorted_lookup(self.pair_keys, self.pair_w,
+                               pair_key(preds, others))
         elif k == "wide":
             nc = 1.0 + _sorted_lookup(self.out_keys, self.out_deg, others)
             w = nc * ((_sorted_lookup(self.pred_keys, self.pred_w, preds) + 1.0) / 2.0)

@@ -19,19 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from pyrdf2vec_ray.stages.walk import CommunityState
-from pyrdf2vec_ray.state.graph_index import LocalGraph
+from pyrdf2vec_ray.state.graph_index import LocalGraph, distinct_edges
+
+
+def _undirected(u: np.ndarray, v: np.ndarray, n: int):
+    """The unique undirected edges (lo, hi) of the id pairs (u, v)."""
+    pair = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return pair // n, pair % n
 
 
 def _entity_edges(g: LocalGraph):
     """Unique undirected entity-entity edges (weight 1 each)."""
-    a = g.a
-    nv = g.num_vertices
-    src = np.repeat(np.arange(nv), np.diff(a.fwd_indptr)).astype(np.int64)
-    dst = a.fwd_obj.astype(np.int64)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    pair = np.unique(lo * nv + hi)
-    return (pair // nv).astype(np.int64), (pair % nv).astype(np.int64)
+    return _undirected(*distinct_edges(g.a.fwd_indptr, g.a.fwd_obj),
+                       g.num_vertices)
 
 
 def _csr_sym(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -143,23 +143,24 @@ def detect_communities(
     g: LocalGraph, max_sweeps: int = 20, resolution: float = 1.0,
     method: str = "louvain",
 ) -> CommunityState:
-    a = g.a
     nv = g.num_vertices
-    u, v = _entity_edges(g)
-    active = np.flatnonzero(a.is_entity)
-
-    if method == "louvain":
-        labels = louvain_labels(u, v, nv, resolution=resolution)
-    elif method == "lpa":
-        labels = _lpa_labels(u, v, nv, active, max_sweeps)
-    else:
-        raise ValueError(f"unknown community method {method!r}")
-
+    active = np.flatnonzero(g.a.is_entity)
+    labels = _labels(*_entity_edges(g), nv, active, method, resolution,
+                     max_sweeps)
     community_of = np.full(nv, -1, dtype=np.int32)
     uniq, inv = np.unique(labels[active], return_inverse=True)
     community_of[active] = inv.astype(np.int32)
     members = [active[inv == c] for c in range(len(uniq))]
     return CommunityState(community_of=community_of, members=members)
+
+
+def _labels(u, v, nv, active, method, resolution, max_sweeps):
+    """Community label per node over unique undirected edges (u, v)."""
+    if method == "louvain":
+        return louvain_labels(u, v, nv, resolution=resolution)
+    if method == "lpa":
+        return _lpa_labels(u, v, nv, active, max_sweeps)
+    raise ValueError(f"unknown community method {method!r}")
 
 
 def _lpa_labels(u, v, nv, active, max_sweeps):
@@ -218,50 +219,23 @@ class _NameCommunityMap:
         return self._m.get(name, -1)
 
 
-def detect_communities_from_dataset(
-    triples_ds, resolution: float = 1.0, method: str = "louvain",
+def detect_communities_from_index(
+    gi, resolution: float = 1.0, method: str = "louvain",
     max_sweeps: int = 20,
 ) -> CommunityState:
-    """Community state fitted from the triples Dataset (the fit that
-    community walks use): distinct entity→entity edges come from one bucket
-    shuffle; the collected pair list is edge-scale ids (16 bytes/edge —
-    the same documented global-algorithm collect as the pagerank fit),
-    and the resulting partition is the broadcast fitted state.
+    """Community state fitted from the shards of ``gi`` (a
+    ``ShardedGraphIndex``; the fit that community walks use): the
+    distinct edges come from one task per forward shard, collected as
+    ids like the pagerank fit's; the partition is the broadcast state.
 
     Identical partition, compact community ids, and member ORDER as
     ``detect_communities`` over one whole-graph CSR (entity order is
     name-sorted in both)."""
-    from pyrdf2vec_ray.shuffle import distinct
-    from pyrdf2vec_ray.util import to_table
-
-    pairs = to_table(distinct(triples_ds, ["subj", "obj"]))
-    src = np.asarray(pairs["subj"].to_numpy(zero_copy_only=False))
-    dst = np.asarray(pairs["obj"].to_numpy(zero_copy_only=False))
-    # factorize(sort=True), not np.unique: comparison-sorting object
-    # strings is ~30x slower (measured at sf0.1)
-    import pandas as pd
-
-    codes, uniq = pd.factorize(np.concatenate([src, dst]), sort=True)
-    ents = np.asarray(uniq).astype(np.str_)
+    ents, u, v = gi.entity_edges()
     n = len(ents)
-    u = codes[: len(src)].astype(np.int64)
-    v = codes[len(src):].astype(np.int64)
-    # collapse to unique undirected edges like _entity_edges
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    pair = np.unique(lo * n + hi)
-    u, v = (pair // n).astype(np.int64), (pair % n).astype(np.int64)
-
-    if method == "louvain":
-        labels = louvain_labels(u, v, n, resolution=resolution)
-    elif method == "lpa":
-        labels = _lpa_labels(u, v, n, np.arange(n), max_sweeps)
-    else:
-        raise ValueError(f"unknown community method {method!r}")
-
+    labels = _labels(*_undirected(u, v, n), n, np.arange(n), method,
+                     resolution, max_sweeps)
     uniq, inv = np.unique(labels, return_inverse=True)
     mapping = {str(name): int(c) for name, c in zip(ents, inv)}
     members = [ents[inv == c] for c in range(len(uniq))]
-    return CommunityState(
-        community_of=_NameCommunityMap(mapping), members=members
-    )
+    return CommunityState(_NameCommunityMap(mapping), members)

@@ -57,6 +57,15 @@ def csr(key: np.ndarray, a: np.ndarray, b: np.ndarray,
     return indptr, a[order].astype(np.int32), b[order].astype(np.int32)
 
 
+def distinct_edges(indptr: np.ndarray, b: np.ndarray) -> tuple:
+    """The distinct (key, b) id pairs of one CSR as two int64 arrays,
+    sorted by (key, b)."""
+    nv = len(indptr) - 1
+    key = np.repeat(np.arange(nv, dtype=np.int64), np.diff(indptr))
+    pair = np.unique(key * nv + b)
+    return pair // nv, pair % nv
+
+
 @dataclass
 class GraphArrays:
     names: np.ndarray        # sorted vertex/predicate names, id = position

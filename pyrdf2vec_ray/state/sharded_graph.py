@@ -16,6 +16,10 @@ shard's triples as one parquet file under ``{root}/fwd``, which
 direction, never the triples.  ``num_shards=1`` is one forward and one
 reverse CSR, each holding every triple.
 
+Fit: ``counts`` and ``entity_edges`` (the sampler and community fits)
+run one numpy kernel per shard where it lives and merge the results on
+the driver; a statistic keyed by a vertex is exact in its owner shard.
+
 Serve: hop lookups route by vertex NAME — shard ``crc32(name) % S``
 owns every triple whose subj (resp. obj) is that name, so one shard
 answers each forward (resp. reverse) ``get_hops`` exactly.  Hops come
@@ -43,11 +47,12 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 import ray
 
-from pyrdf2vec_ray.state.graph_index import csr, intern
+from pyrdf2vec_ray.state.graph_index import csr, distinct_edges, intern
 
 TRIPLE_COLS = ["subj", "pred", "obj"]
 
@@ -130,14 +135,48 @@ def concat_pieces(pieces: tuple, cols: list) -> pa.Table:
 
 
 @ray.remote
-def _shard_crc(a: ShardCSR) -> tuple[int, int, int]:
+def _on_shard(kernel, a: ShardCSR, *args):
+    """``kernel(a, *args)`` in a worker next to the shard."""
+    return kernel(a, *args)
+
+
+def shard_crc(a: ShardCSR) -> tuple[int, int, int]:
     """(vertices, edges, crc32 over the CSR and vocabulary) of one
-    shard, computed in a worker; only three ints reach the caller."""
+    shard."""
     h = zlib.crc32(a.pred.tobytes())
     h = zlib.crc32(a.other.tobytes(), h)
     h = zlib.crc32(a.indptr.tobytes(), h)
     h = zlib.crc32(a.names.tobytes(), h)
     return len(a.names), len(a.pred), h
+
+
+def pair_key(a, b) -> np.ndarray:
+    """The name ``a + "\\x1f" + b`` of each (a, b) pair (object-array
+    concatenation: the fastest numpy form)."""
+    return (np.asarray(a, dtype=object) + "\x1f"
+            + np.asarray(b, dtype=object)).astype(np.str_)
+
+
+def shard_counts(a: ShardCSR, cols: tuple) -> tuple:
+    """(names, int64 counts) of one shard's edges grouped by ``cols``:
+    its key column (subj forward, obj reverse), "pred", or both, named
+    by ``pair_key``.  Only values that occur are listed, each once."""
+    nv = len(a.names)
+    if len(cols) == 2:
+        key = np.repeat(np.arange(nv, dtype=np.int64), np.diff(a.indptr))
+        pairs, n = np.unique(a.pred.astype(np.int64) * nv + key,
+                             return_counts=True)
+        return pair_key(a.names[pairs // nv], a.names[pairs % nv]), n
+    n = (np.bincount(a.pred, minlength=nv) if cols == ("pred",)
+         else np.diff(a.indptr))
+    seen = np.flatnonzero(n)
+    return a.names[seen], n[seen]
+
+
+def shard_edges(a: ShardCSR) -> tuple:
+    """One forward shard's distinct (subj, obj) edges as name arrays."""
+    src, dst = distinct_edges(a.indptr, a.other)
+    return a.names[src], a.names[dst]
 
 
 def require_sharded(gi, caller: str) -> None:
@@ -215,9 +254,9 @@ class ShardedGraphIndex:
         return index
 
     def triples_dataset(self) -> "ray.data.Dataset":
-        """The forward shards' parquet re-read as a Dataset (used for
-        name-keyed sampler fitting — grouped counts over the same
-        persisted triples, no extra copy)."""
+        """The forward shards' parquet re-read as a Dataset: the input
+        of the WL fit (``stages/wl.wl_labels_from_dataset``), of
+        ``bench.py``'s WL stage and of tests."""
         import ray.data
 
         return ray.data.read_parquet(
@@ -233,12 +272,42 @@ class ShardedGraphIndex:
         is sorted, so the same triples give the same fingerprint in any
         scratch dir and row order (a different shard count gives a
         different one)."""
-        parts = ray.get([_shard_crc.remote(r) for r in self.fwd_refs])
+        parts = self._map(shard_crc, self.fwd_refs)
         h = 0
         for nv, ne, crc in parts:
             h = zlib.crc32(f"{nv},{ne},{crc};".encode(), h)
         edges = sum(ne for _, ne, _ in parts)
         return f"s{self.num_shards}e{edges}x{h:08x}"
+
+    def _map(self, kernel, refs: list, *args) -> list:
+        """``kernel(shard, *args)`` per shard of ``refs``, one task each."""
+        return ray.get([_on_shard.remote(kernel, r, *args) for r in refs])
+
+    def counts(self, *cols: str) -> tuple:
+        """The triples' ``GROUP BY cols`` row counts: (sorted names,
+        float64 counts).  ``cols`` is ("subj",), ("obj",), ("pred",) or
+        ("pred", "obj"); a pair is named by ``pair_key``.  A count keyed
+        by subj (obj) is exact in the forward (reverse) shard that owns
+        the vertex; predicate counts are summed over forward shards."""
+        refs = self.rev_refs if "obj" in cols else self.fwd_refs
+        keys, n = zip(*self._map(shard_counts, refs, cols))
+        codes, uniq = pd.factorize(np.concatenate(keys), sort=True)
+        return uniq.astype(np.str_), np.bincount(
+            codes, weights=np.concatenate(n).astype(np.float64),
+            minlength=len(uniq))
+
+    def entity_edges(self) -> tuple:
+        """The distinct (subj, obj) edges: (names, src, dst), every subj
+        and obj name sorted and the edges as int64 ids into it, sorted
+        by (src, dst).  An edge lives in the forward shard of its subj."""
+        src, dst = (np.concatenate(c)
+                    for c in zip(*self._map(shard_edges, self.fwd_refs)))
+        # factorize(sort=True), not np.unique: comparison-sorting millions
+        # of object strings is ~30x slower (measured at sf0.1)
+        codes, uniq = pd.factorize(np.concatenate([src, dst]), sort=True)
+        n = len(uniq)
+        pair = np.unique(codes[:len(src)] * n + codes[len(src):])
+        return uniq.astype(np.str_), pair // n, pair % n
 
     def local(self) -> "ShardedLocalGraph":
         """Lazy worker/driver-side view: shards resolve from the object

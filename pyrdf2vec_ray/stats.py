@@ -2,10 +2,11 @@
 predicate counts, PageRank, community id — the fitted-sampler state as
 one queryable table (SURVEY.md §2.4).
 
-Degrees/counts are bucket-shuffle grouped counts over the triples
-Dataset; PageRank and communities come from one whole-graph CSR index
-since they are iterative whole-graph algorithms (SURVEY.md A5/A10
-document the join-iteration scale path).
+Every column comes from one whole-graph CSR index (``GraphIndex``):
+degrees are its ``indptr`` differences, predicate counts a count of its
+forward predicate ids, and PageRank and communities run over its
+distinct edges (SURVEY.md A5/A10 document the join-iteration scale
+path).
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ exactly the reference's ``EntityWalks`` (typings.py:13).  ``gi`` is a
 ``ShardedGraphIndex``: root entities stream through ``map_batches``
 tasks that map the graph shards their hops touch from the object store.
 The graph-global fitted state (sampler statistics, WL labels, community
-partition) is fitted from the index's triples Dataset and broadcast
-once via the object store.
+partition) is fitted from the index (its shards; WL from its triples
+Dataset) and broadcast once via the object store.
 Corpus-global strategies (HALK frequency filter, NGram id assignment)
 add a barrier aggregation + a rewrite pass, per SURVEY.md A8/W4.
 """
@@ -343,7 +343,7 @@ def extract_walks(
 
     sampler_ref = None if custom_fn is not None else _fit_cached(
         gi, ("sampler", spec.sampler),
-        lambda: ray.put(NameFittedSampler.fit(spec.sampler, gi.triples_dataset)),
+        lambda: ray.put(NameFittedSampler.fit(spec.sampler, gi)),
     )
     labels_ref = None
     community_ref = None
@@ -357,13 +357,11 @@ def extract_walks(
             )),
         )
     if spec.strategy == "community":
-        from pyrdf2vec_ray.stages.community import (
-            detect_communities_from_dataset,
-        )
+        from pyrdf2vec_ray.stages.community import detect_communities_from_index
 
         community_ref = _fit_cached(
             gi, ("community",),
-            lambda: ray.put(detect_communities_from_dataset(gi.triples_dataset())),
+            lambda: ray.put(detect_communities_from_index(gi)),
         )
 
     shard_refs = (gi.fwd_refs, gi.rev_refs)

@@ -1,9 +1,6 @@
 """Property-based invariants (hypothesis) for the pure kernels — no Ray
 jobs per example, so hundreds of cases run in seconds."""
 
-import contextlib
-from unittest import mock
-
 import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
@@ -12,8 +9,18 @@ from hypothesis import strategies as st
 from pyrdf2vec_ray.functions import canon
 from pyrdf2vec_ray.literals import cast_literals
 from pyrdf2vec_ray.ops.dedup import _perm_coeffs, _shingle_hashes
-from pyrdf2vec_ray.samplers import NameFittedSampler, SamplerSpec
-from pyrdf2vec_ray.state.graph_index import GraphIndex
+from pyrdf2vec_ray.samplers import (
+    SAMPLER_KINDS,
+    NameFittedSampler,
+    SamplerSpec,
+    pagerank_scores,
+)
+from pyrdf2vec_ray.state.graph_index import GraphIndex, csr, intern
+from pyrdf2vec_ray.state.sharded_graph import (
+    ShardCSR,
+    ShardedGraphIndex,
+    shard_of,
+)
 from pyrdf2vec_ray.synth import triples_table
 
 name = st.text(
@@ -39,37 +46,86 @@ def test_graph_index_roundtrip(triples):
         assert (p, s) in {(str(names[a]), str(names[b])) for a, b in zip(rpreds, subs)}
 
 
-@contextlib.contextmanager
-def _pandas_counts():
-    """NameFittedSampler.fit over an in-memory table: its grouped counts
-    run as pandas group-counts instead of Ray jobs (tests/test_shuffle.py
-    pins the real bucket_count/distinct kernels)."""
-    from pyrdf2vec_ray import shuffle, util
+class _LocalShards(ShardedGraphIndex):
+    """A ShardedGraphIndex over in-process shards: ``_map`` runs each
+    shard kernel here instead of in a Ray task."""
 
-    def bucket_count(t: pa.Table, cols, out):
-        df = t.to_pandas().groupby(cols, as_index=False).size()
-        return pa.Table.from_pandas(df.rename(columns={"size": out}),
-                                    preserve_index=False)
+    def _map(self, kernel, shards, *args):
+        return [kernel(a, *args) for a in shards]
 
-    def distinct(t: pa.Table, cols):
-        return pa.Table.from_pandas(t.to_pandas()[cols].drop_duplicates(),
-                                    preserve_index=False)
 
-    with mock.patch.object(shuffle, "bucket_count", bucket_count), \
-            mock.patch.object(shuffle, "distinct", distinct), \
-            mock.patch.object(util, "to_table", lambda t: t):
-        yield
+def _local_index(table: pa.Table, num_shards: int) -> _LocalShards:
+    """The forward and reverse ShardCSRs the build would make, cut by
+    the same ``shard_of`` and built with ``intern`` + ``csr``."""
+    def shards(col: str) -> list:
+        owner = np.array([shard_of(v, num_shards)
+                          for v in table[col].to_pylist()])
+        out = []
+        for s in range(num_shards):
+            names, s_id, p_id, o_id = intern(table.filter(owner == s))
+            key, other = (o_id, s_id) if col == "obj" else (s_id, o_id)
+            out.append(ShardCSR(names, *csr(key, p_id, other, len(names))))
+        return out
+
+    return _LocalShards(shards("subj"), shards("obj"), num_shards, None)
+
+
+def _with_duplicates(triples: list) -> pa.Table:
+    return triples_table(triples + triples[: len(triples) // 2])
+
+
+def _group_count(keys) -> tuple:
+    counts = keys.groupby(keys).size()
+    return counts.index.tolist(), counts.to_numpy(np.float64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(triple, min_size=1, max_size=40))
+def test_sampler_fit_equals_group_by(triples):
+    """Every fitted array equals a pandas group-by over the table
+    (duplicate rows counted), at 1 and 3 shards; the pagerank vertices
+    are the sorted subj/obj names and its scores those of one
+    whole-graph CSR."""
+    table = _with_duplicates(triples)
+    df = table.to_pandas()
+    g = GraphIndex.from_table(table).local()
+    want = {
+        "in": _group_count(df["obj"]),
+        "out": _group_count(df["subj"]),
+        "pred": _group_count(df["pred"]),
+        "pair": _group_count(df["pred"] + "\x1f" + df["obj"]),
+    }
+    for num_shards in (1, 3):
+        gi = _local_index(table, num_shards)
+        fits = {k: NameFittedSampler.fit(SamplerSpec(kind=k, split=True), gi)
+                for k in ("objpredfreq", "wide", "pagerank")}
+        got = {
+            "in": (fits["wide"].in_keys, fits["wide"].in_deg),
+            "out": (fits["wide"].out_keys, fits["wide"].out_deg),
+            "pred": (fits["wide"].pred_keys, fits["wide"].pred_w),
+            "pair": (fits["objpredfreq"].pair_keys,
+                     fits["objpredfreq"].pair_w),
+        }
+        for stat, (keys, n) in want.items():
+            assert got[stat][0].tolist() == keys, (stat, num_shards)
+            np.testing.assert_array_equal(got[stat][1], n)
+        pr = fits["pagerank"]
+        names = sorted(set(df["subj"]) | set(df["obj"]))
+        assert pr.node_keys.tolist() == names
+        np.testing.assert_array_equal(pr.node_w,
+                                      pagerank_scores(g)[g.a.is_entity])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(triple, min_size=1, max_size=40))
 def test_sampler_probabilities_valid(triples):
-    table = triples_table(sorted(set(triples)))
+    table = _with_duplicates(triples)
     g = GraphIndex.from_table(table).local()
     names = g.a.names
-    with _pandas_counts():
-        for kind in ("uniform", "objfreq", "predfreq", "objpredfreq", "wide"):
-            fs = NameFittedSampler.fit(SamplerSpec(kind=kind), lambda: table)
+    for num_shards in (1, 3):
+        gi = _local_index(table, num_shards)
+        for kind in SAMPLER_KINDS:
+            fs = NameFittedSampler.fit(SamplerSpec(kind=kind), gi)
             for vid in range(g.num_vertices):
                 preds, objs = g.get_hops(vid)
                 if len(preds) == 0:

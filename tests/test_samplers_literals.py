@@ -33,8 +33,7 @@ def hops_of(gi, name, reverse=False):
 
 
 def fit(kind, gi, **kw):
-    return NameFittedSampler.fit(SamplerSpec(kind=kind, **kw),
-                                 gi.triples_dataset)
+    return NameFittedSampler.fit(SamplerSpec(kind=kind, **kw), gi)
 
 
 def test_hops_forward_reverse(graphs):

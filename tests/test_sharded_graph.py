@@ -267,7 +267,7 @@ def test_wl_walks_identical(pair):
 
 
 def test_community_walks_identical(pair):
-    """Louvain from the distinct-edge Dataset: teleporting walks match
+    """Louvain from the shards' distinct edges: teleporting walks match
     the recorded digest at every shard count."""
     ents = [synth.entity_iri(i) for i in (0, 3, 5)]
     spec = WalkerSpec(strategy="community", max_depth=2, max_walks=5,
@@ -276,18 +276,18 @@ def test_community_walks_identical(pair):
 
 
 def test_community_partition_identical(pair):
-    """The Dataset fit gives the same partition, ids and member order as
+    """The shard fit gives the same partition, ids and member order as
     the whole-graph CSR fit."""
     from pyrdf2vec_ray.stages.community import (
         detect_communities,
-        detect_communities_from_dataset,
+        detect_communities_from_index,
     )
 
     g = GraphIndex.from_table(TABLE).local()
     cs_b = detect_communities(g)
     names = g.a.names
     for sh in pair:
-        cs_n = detect_communities_from_dataset(sh.triples_dataset())
+        cs_n = detect_communities_from_index(sh)
         for vid in np.flatnonzero(g.a.is_entity):
             assert cs_b.community_of[vid] == cs_n.community_of[str(names[vid])]
         assert len(cs_b.members) == len(cs_n.members)
@@ -314,16 +314,15 @@ def test_name_sampler_weights_match_broadcast(pair):
     }
     for sh in pair:
         for kind, probs in want.items():
-            fs = NameFittedSampler.fit(SamplerSpec(kind=kind),
-                                       sh.triples_dataset)
+            fs = NameFittedSampler.fit(SamplerSpec(kind=kind), sh)
             keep, p = fs.hop_probabilities(preds, objs)
             assert keep.tolist() == [0, 1], kind
             np.testing.assert_array_equal(p, probs)
 
 
 def test_name_sampler_fits_in_degree_only_when_read(pair):
-    """The in-degree count is a full exchange over the triples: fitted
-    only for the split divisor and the objfreq weights."""
+    """The in-degree count is one task per reverse shard: fitted only
+    for the split divisor and the objfreq weights."""
     from pyrdf2vec_ray.samplers import NameFittedSampler
 
     _, sh = pair
@@ -331,8 +330,7 @@ def test_name_sampler_fits_in_degree_only_when_read(pair):
                                 ("uniform", True, True),
                                 ("pagerank", False, False),
                                 ("objfreq", False, True)):
-        fs = NameFittedSampler.fit(SamplerSpec(kind=kind, split=split),
-                                   lambda: sh.triples_dataset())
+        fs = NameFittedSampler.fit(SamplerSpec(kind=kind, split=split), sh)
         assert (fs.in_deg is not None) == fitted, (kind, split)
 
 
@@ -340,22 +338,43 @@ def test_uniform_sampler_walks_read_no_triples(tmp_path, monkeypatch,
                                                ray_jobs):
     """A uniform sampler without split counts nothing: walking never
     builds the triples Dataset (a parquet read starts Ray tasks as soon
-    as it is built), and the fit runs no Ray Data job."""
+    as it is built), and the fit runs no Ray Data job and no task."""
     from pyrdf2vec_ray.samplers import NameFittedSampler
 
     ds = ray.data.from_arrow(synth.triples_table(synth.LONG_CHAIN))
     sh = ShardedGraphIndex.build(ds, num_shards=2, scratch_dir=str(tmp_path))
 
-    def boom(self=None):
-        raise AssertionError("triples Dataset built for a uniform sampler")
+    def boom(*args):
+        raise AssertionError("graph read for a uniform sampler")
 
     monkeypatch.setattr(ShardedGraphIndex, "triples_dataset", boom)
     spec = WalkerSpec(strategy="random", max_depth=2, max_walks=None,
                       sampler=SamplerSpec(kind="uniform"))
     assert _walk_sets(sh, [IRI + "Alice"], spec)[IRI + "Alice"]
+    monkeypatch.setattr(ShardedGraphIndex, "_map", boom)
     with ray_jobs() as jobs:
-        NameFittedSampler.fit(SamplerSpec(kind="uniform"), boom)
+        NameFittedSampler.fit(SamplerSpec(kind="uniform"), sh)
     assert jobs.count == 0
+
+
+def test_fits_run_no_ray_data_job(pair, ray_jobs):
+    """Every sampler kind x split and the community partition fit from
+    the built shards by plain tasks: no Ray Data job."""
+    from pyrdf2vec_ray.samplers import SAMPLER_KINDS, NameFittedSampler
+    from pyrdf2vec_ray.stages.community import detect_communities_from_index
+
+    jobs_per_fit = {}
+    for sh in pair:
+        for kind in SAMPLER_KINDS:
+            for split in (False, True):
+                with ray_jobs() as jobs:
+                    NameFittedSampler.fit(
+                        SamplerSpec(kind=kind, split=split), sh)
+                jobs_per_fit[sh.num_shards, kind, split] = jobs.count
+        with ray_jobs() as jobs:
+            detect_communities_from_index(sh)
+        jobs_per_fit[sh.num_shards, "community"] = jobs.count
+    assert not {k: n for k, n in jobs_per_fit.items() if n}
 
 
 def test_literals_identical_across_backends(pair):
