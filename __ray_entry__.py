@@ -33,32 +33,30 @@ def _rename(ds, mapping: dict[str, str]):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-_ENTITY_CACHE: dict[str, list] = {}
+_ENTITY_CACHE: dict[tuple, list] = {}
+
+
+def _entities(sf_dir: str, table: str, col: str, prefix: str) -> list[str]:
+    """``prefix:key`` vertex names of ``table``'s rows sorted by key,
+    read once per (sf_dir, table)."""
+    import pyarrow.parquet as pq
+
+    if (sf_dir, table) not in _ENTITY_CACHE:
+        keys = pq.read_table(f"{sf_dir}/{table}.parquet", columns=[col])
+        _ENTITY_CACHE[sf_dir, table] = [
+            f"{prefix}:{k}" for k in sorted(keys[col].to_pylist())]
+    return _ENTITY_CACHE[sf_dir, table]
 
 
 def _customer_entities(sf_dir: str) -> list[str]:
-    import ray.data
-
-    if sf_dir not in _ENTITY_CACHE:
-        keys = (
-            ray.data.read_parquet(
-                f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-            )
-            .to_pandas()["c_custkey"]
-            .sort_values()
-        )
-        _ENTITY_CACHE[sf_dir] = [f"customer:{k}" for k in keys]
-    return _ENTITY_CACHE[sf_dir]
+    return _entities(sf_dir, "customer", "c_custkey", "customer")
 
 
 def _order_entities(sf_dir: str) -> list[str]:
     """Order vertices sorted by key: an order's first hop branches (its
     customer plus one `contains` hop per line item), so a sampled DFS
     from it can see its sampler."""
-    import pyarrow.parquet as pq
-
-    keys = pq.read_table(f"{sf_dir}/orders.parquet", columns=["o_orderkey"])
-    return [f"order:{k}" for k in sorted(keys["o_orderkey"].to_pylist())]
+    return _entities(sf_dir, "orders", "o_orderkey", "order")
 
 
 _GI_CACHE: dict[str, Any] = {}
@@ -338,13 +336,14 @@ def q_walks_wide_sampled(sf_dir: str):
     """WideSampler-weighted DFS (A6, samplers/wide.py:50-96) from 200
     orders, whose first hop branches (see ``q_walks_dfs_sampled``)."""
     from pyrdf2vec_ray.samplers import SamplerSpec
-    from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
+    from pyrdf2vec_ray.walkers import WalkerSpec
 
-    spec = WalkerSpec(strategy="random", max_depth=3, max_walks=6,
-                      random_state=21, sampler=SamplerSpec(kind="wide"))
-    return explode_walks(extract_walks(
-        _graph_index(sf_dir), _order_entities(sf_dir)[:200], spec,
-        batch_size=64))
+    return _walker_query(
+        sf_dir,
+        WalkerSpec(strategy="random", max_depth=3, max_walks=6,
+                   random_state=21, sampler=SamplerSpec(kind="wide")),
+        n=200, roots=_order_entities,
+    )
 
 
 def q_walks_wide_exhausted(sf_dir: str):
@@ -4511,12 +4510,14 @@ def q_walks_wl_sample(sf_dir: str):
     return walks.map_batches(explode, batch_format="pyarrow")
 
 
-def _walker_query(sf_dir: str, spec, n: int = 100):
+def _walker_query(sf_dir: str, spec, n: int = 100,
+                  roots=_customer_entities):
+    """``spec``'s walks from the first ``n`` of ``roots(sf_dir)``."""
     from pyrdf2vec_ray.walkers import explode_walks, extract_walks
 
-    gi = _graph_index(sf_dir)
-    entities = _customer_entities(sf_dir)[:n]
-    return explode_walks(extract_walks(gi, entities, spec, batch_size=64))
+    entities = roots(sf_dir)[:n]
+    return explode_walks(extract_walks(_graph_index(sf_dir), entities, spec,
+                                       batch_size=64))
 
 
 def q_walks_community(sf_dir: str):
@@ -4907,15 +4908,14 @@ def q_walks_dfs_sampled(sf_dir: str):
     items' parts), so the sampler and seed shape the rows, unlike a DFS
     from a customer, which has one path."""
     from pyrdf2vec_ray.samplers import SamplerSpec
-    from pyrdf2vec_ray.walkers import WalkerSpec, explode_walks, extract_walks
+    from pyrdf2vec_ray.walkers import WalkerSpec
 
-    gi = _graph_index(sf_dir)
-    entities = _order_entities(sf_dir)[:200]
-    spec = WalkerSpec(
-        strategy="random", max_depth=3, max_walks=8, random_state=42,
-        sampler=SamplerSpec(kind="pagerank"),
+    return _walker_query(
+        sf_dir,
+        WalkerSpec(strategy="random", max_depth=3, max_walks=8,
+                   random_state=42, sampler=SamplerSpec(kind="pagerank")),
+        n=200, roots=_order_entities,
     )
-    return explode_walks(extract_walks(gi, entities, spec, batch_size=64))
 
 
 def q_embedding_label_centroids(sf_dir: str):

@@ -2,14 +2,12 @@
 
 A sampler is (1) a global fit over the whole graph and (2) a per-hop
 weight function used inside DFS walk tasks.  The fit statistics are
-grouped counts of the triples keyed by vertex and predicate NAME,
-computed by one task per graph shard (``ShardedGraphIndex.counts`` and
-``entity_edges``: each count is exact in the shard that owns its key)
-and merged on the driver into vocabulary-scale sorted arrays that are
-broadcast to the walk tasks.  The Dataset/groupby formulations of the
-same counts are the oracle-checked ``sampler_*`` registry queries.
-Weight semantics are faithful to the reference per-sampler docstrings
-below.
+grouped counts of the triples keyed by vertex and predicate NAME, one
+task per graph shard (``ShardedGraphIndex.counts``, ``entity_edges``)
+merged on the driver into vocabulary-scale sorted arrays broadcast to
+the walk tasks.  The Dataset/groupby formulations of the same counts
+are the oracle-checked ``sampler_*`` registry queries.  Weight
+semantics are faithful to the reference per-sampler docstrings below.
 """
 
 from __future__ import annotations
@@ -45,11 +43,10 @@ def _pagerank_from_pairs(
     alpha: float = 0.85, tol: float = 1e-6, max_iter: int = 100,
     personalization: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Shared power-iteration core over UNIQUE SORTED (src, dst) id pairs.
-    The sampler fit (``ShardedGraphIndex.entity_edges``) and
-    ``pagerank_scores`` (one CSR) reduce their edges to the same sorted
-    pair list over the same sorted vocabulary, so their scores are
-    bit-identical.
+    """Shared power-iteration core over UNIQUE SORTED (src, dst) id pairs:
+    the sampler fit (``ShardedGraphIndex.entity_edges``) and
+    ``pagerank_scores`` (one CSR) pass the same pairs over the same
+    sorted vocabulary, so their scores are bit-identical.
 
     ``personalization`` (optional, length = #entity nodes, summing to 1)
     is the restart vector of PERSONALIZED PageRank (nx semantics: start,
@@ -132,13 +129,11 @@ def _sorted_lookup(keys: np.ndarray, vals: np.ndarray, queries) -> np.ndarray:
 
 @dataclass
 class NameFittedSampler:
-    """Sampler state keyed by vertex NAME, fitted from the graph shards
-    with one task per shard — the sharded graph index has no global id
-    space.  The collected statistics are vocabulary-scale (one row per
-    distinct vertex / predicate / pair), NOT corpus-scale: they are the
-    broadcast fitted state, exactly like the reference's driver-side
-    sampler.fit (samplers/sampler.py:69-109).  ``hop_probabilities`` is
-    the reference's get_weights (sampler.py:111-136)."""
+    """Sampler state keyed by vertex NAME (the sharded index has no
+    global id space): vocabulary-scale sorted arrays, the broadcast
+    fitted state like the reference's driver-side sampler.fit
+    (samplers/sampler.py:69-109).  ``hop_probabilities`` is the
+    reference's get_weights (sampler.py:111-136)."""
 
     spec: SamplerSpec
     node_keys: np.ndarray | None = None
@@ -154,10 +149,9 @@ class NameFittedSampler:
 
     @staticmethod
     def fit(spec: SamplerSpec, gi) -> "NameFittedSampler":
-        """Fit from the shards of ``gi`` (a ``ShardedGraphIndex``): each
-        statistic a kind reads is one task per shard plus a merge on the
-        driver (``counts``, ``entity_edges``); a kind reads nothing else,
-        so e.g. ``uniform`` without ``split`` starts no task."""
+        """Fit from the shards of ``gi`` (a ``ShardedGraphIndex``) by its
+        ``counts`` and ``entity_edges``; a kind reads only what it needs,
+        so ``uniform`` without ``split`` starts no task."""
         fs = NameFittedSampler(spec=spec)
         # only the split divisor and the objfreq weights read in-degree
         if spec.split or spec.kind == "objfreq":
@@ -181,8 +175,7 @@ class NameFittedSampler:
             fs.out_keys, fs.out_deg = gi.counts("subj")
         elif spec.kind == "pagerank":
             # unique entity→entity edges, collapsed like the reference's
-            # nx.DiGraph; the collected pair list is E×2 ids, and the
-            # score vector is the broadcast fitted state
+            # nx.DiGraph, collected as E×2 ids
             fs.node_keys, src, dst = gi.entity_edges()
             n = len(fs.node_keys)
             fs.node_w = _pagerank_from_pairs(

@@ -145,22 +145,24 @@ def detect_communities(
 ) -> CommunityState:
     nv = g.num_vertices
     active = np.flatnonzero(g.a.is_entity)
-    labels = _labels(*_entity_edges(g), nv, active, method, resolution,
-                     max_sweeps)
+    inv, k = _partition(*_entity_edges(g), nv, active, method, resolution,
+                        max_sweeps)
     community_of = np.full(nv, -1, dtype=np.int32)
-    uniq, inv = np.unique(labels[active], return_inverse=True)
-    community_of[active] = inv.astype(np.int32)
-    members = [active[inv == c] for c in range(len(uniq))]
-    return CommunityState(community_of=community_of, members=members)
+    community_of[active] = inv
+    return CommunityState(community_of, [active[inv == c] for c in range(k)])
 
 
-def _labels(u, v, nv, active, method, resolution, max_sweeps):
-    """Community label per node over unique undirected edges (u, v)."""
+def _partition(u, v, nv, active, method, resolution, max_sweeps):
+    """(compact community id of each ``active`` node, community count)
+    over unique undirected edges (u, v)."""
     if method == "louvain":
-        return louvain_labels(u, v, nv, resolution=resolution)
-    if method == "lpa":
-        return _lpa_labels(u, v, nv, active, max_sweeps)
-    raise ValueError(f"unknown community method {method!r}")
+        labels = louvain_labels(u, v, nv, resolution=resolution)
+    elif method == "lpa":
+        labels = _lpa_labels(u, v, nv, active, max_sweeps)
+    else:
+        raise ValueError(f"unknown community method {method!r}")
+    uniq, inv = np.unique(labels[active], return_inverse=True)
+    return inv, len(uniq)
 
 
 def _lpa_labels(u, v, nv, active, max_sweeps):
@@ -223,19 +225,15 @@ def detect_communities_from_index(
     gi, resolution: float = 1.0, method: str = "louvain",
     max_sweeps: int = 20,
 ) -> CommunityState:
-    """Community state fitted from the shards of ``gi`` (a
-    ``ShardedGraphIndex``; the fit that community walks use): the
-    distinct edges come from one task per forward shard, collected as
-    ids like the pagerank fit's; the partition is the broadcast state.
-
-    Identical partition, compact community ids, and member ORDER as
-    ``detect_communities`` over one whole-graph CSR (entity order is
-    name-sorted in both)."""
+    """Community state (the community walks' broadcast fit) over the
+    distinct edges of ``gi`` (a ``ShardedGraphIndex``), collected as ids
+    by ``entity_edges``.  Identical partition, compact community ids
+    and member ORDER as ``detect_communities`` over one whole-graph CSR
+    (entity order is name-sorted in both)."""
     ents, u, v = gi.entity_edges()
     n = len(ents)
-    labels = _labels(*_undirected(u, v, n), n, np.arange(n), method,
-                     resolution, max_sweeps)
-    uniq, inv = np.unique(labels, return_inverse=True)
+    inv, k = _partition(*_undirected(u, v, n), n, np.arange(n), method,
+                        resolution, max_sweeps)
     mapping = {str(name): int(c) for name, c in zip(ents, inv)}
-    members = [ents[inv == c] for c in range(len(uniq))]
-    return CommunityState(_NameCommunityMap(mapping), members)
+    return CommunityState(_NameCommunityMap(mapping),
+                          [ents[inv == c] for c in range(k)])

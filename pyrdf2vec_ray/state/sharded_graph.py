@@ -17,8 +17,8 @@ direction, never the triples.  ``num_shards=1`` is one forward and one
 reverse CSR, each holding every triple.
 
 Fit: ``counts`` and ``entity_edges`` (the sampler and community fits)
-run one numpy kernel per shard where it lives and merge the results on
-the driver; a statistic keyed by a vertex is exact in its owner shard.
+run one grouped count per shard where it lives, and the driver sums
+them over one merged vocabulary; only vocabularies travel as strings.
 
 Serve: hop lookups route by vertex NAME — shard ``crc32(name) % S``
 owns every triple whose subj (resp. obj) is that name, so one shard
@@ -52,7 +52,7 @@ import pyarrow as pa
 
 import ray
 
-from pyrdf2vec_ray.state.graph_index import csr, distinct_edges, intern
+from pyrdf2vec_ray.state.graph_index import csr, intern
 
 TRIPLE_COLS = ["subj", "pred", "obj"]
 
@@ -141,8 +141,7 @@ def _on_shard(kernel, a: ShardCSR, *args):
 
 
 def shard_crc(a: ShardCSR) -> tuple[int, int, int]:
-    """(vertices, edges, crc32 over the CSR and vocabulary) of one
-    shard."""
+    """(vertices, edges, crc32 over the CSR and vocabulary) of a shard."""
     h = zlib.crc32(a.pred.tobytes())
     h = zlib.crc32(a.other.tobytes(), h)
     h = zlib.crc32(a.indptr.tobytes(), h)
@@ -151,32 +150,24 @@ def shard_crc(a: ShardCSR) -> tuple[int, int, int]:
 
 
 def pair_key(a, b) -> np.ndarray:
-    """The name ``a + "\\x1f" + b`` of each (a, b) pair (object-array
-    concatenation: the fastest numpy form)."""
+    """``a + "\\x1f" + b`` per pair (object add: the fastest numpy form)."""
     return (np.asarray(a, dtype=object) + "\x1f"
             + np.asarray(b, dtype=object)).astype(np.str_)
 
 
-def shard_counts(a: ShardCSR, cols: tuple) -> tuple:
-    """(names, int64 counts) of one shard's edges grouped by ``cols``:
-    its key column (subj forward, obj reverse), "pred", or both, named
-    by ``pair_key``.  Only values that occur are listed, each once."""
+def shard_counts(a: ShardCSR, key: str, cols: tuple) -> tuple:
+    """(names, ids, int64 counts) of one shard's triples grouped by
+    ``cols``, one or two of subj/pred/obj; ``key`` is the column the
+    shard is keyed by (subj forward, obj reverse).  ``ids`` holds one id
+    array into ``names`` per column, each group that occurs once."""
     nv = len(a.names)
-    if len(cols) == 2:
-        key = np.repeat(np.arange(nv, dtype=np.int64), np.diff(a.indptr))
-        pairs, n = np.unique(a.pred.astype(np.int64) * nv + key,
-                             return_counts=True)
-        return pair_key(a.names[pairs // nv], a.names[pairs % nv]), n
-    n = (np.bincount(a.pred, minlength=nv) if cols == ("pred",)
-         else np.diff(a.indptr))
-    seen = np.flatnonzero(n)
-    return a.names[seen], n[seen]
-
-
-def shard_edges(a: ShardCSR) -> tuple:
-    """One forward shard's distinct (subj, obj) edges as name arrays."""
-    src, dst = distinct_edges(a.indptr, a.other)
-    return a.names[src], a.names[dst]
+    col = {"pred": a.pred,
+           key: np.repeat(np.arange(nv, dtype=np.int64), np.diff(a.indptr))}
+    ids = [col.get(c, a.other).astype(np.int64) for c in cols]
+    groups, n = np.unique(ids[0] if len(ids) == 1 else ids[0] * nv + ids[1],
+                          return_counts=True)
+    return (pa.array(a.names),
+            np.divmod(groups, nv) if len(ids) == 2 else (groups,), n)
 
 
 def require_sharded(gi, caller: str) -> None:
@@ -283,31 +274,48 @@ class ShardedGraphIndex:
         """``kernel(shard, *args)`` per shard of ``refs``, one task each."""
         return ray.get([_on_shard.remote(kernel, r, *args) for r in refs])
 
+    def _gather(self, cols: tuple) -> tuple:
+        """(names, ids, n): ``shard_counts`` per shard (reverse shards if
+        obj is grouped), its ids re-coded into ``names``, the one sorted
+        vocabulary, and concatenated with the counts ``n``."""
+        key = "obj" if "obj" in cols else "subj"
+        parts = self._map(shard_counts,
+                          self.rev_refs if key == "obj" else self.fwd_refs,
+                          key, cols)
+        # factorize(sort=True), not np.unique: comparison-sorting millions
+        # of object strings is ~30x slower (measured at sf0.1)
+        codes, names = pd.factorize(pa.chunked_array(
+            [p[0] for p in parts]).to_numpy(zero_copy_only=False), sort=True)
+        recode = np.split(codes, np.cumsum([len(p[0]) for p in parts])[:-1])
+        ids = [np.concatenate([m[p[1][j]] for m, p in zip(recode, parts)])
+               for j in range(len(cols))]
+        return names, ids, np.concatenate([p[2] for p in parts])
+
     def counts(self, *cols: str) -> tuple:
         """The triples' ``GROUP BY cols`` row counts: (sorted names,
-        float64 counts).  ``cols`` is ("subj",), ("obj",), ("pred",) or
-        ("pred", "obj"); a pair is named by ``pair_key``.  A count keyed
-        by subj (obj) is exact in the forward (reverse) shard that owns
-        the vertex; predicate counts are summed over forward shards."""
-        refs = self.rev_refs if "obj" in cols else self.fwd_refs
-        keys, n = zip(*self._map(shard_counts, refs, cols))
-        codes, uniq = pd.factorize(np.concatenate(keys), sort=True)
-        return uniq.astype(np.str_), np.bincount(
-            codes, weights=np.concatenate(n).astype(np.float64),
-            minlength=len(uniq))
+        float64 counts).  ``cols`` is one or two of subj/pred/obj; a
+        pair is named by ``pair_key``.  Each shard counts its own
+        triples, so summing over shards is exact."""
+        names, ids, n = self._gather(cols)
+        key = ids[0]
+        if len(ids) == 2:   # name only the pairs seen, once
+            key, names = pd.factorize(pair_key(names[key], names[ids[1]]),
+                                      sort=True)
+        w = np.bincount(key, weights=n.astype(np.float64),
+                        minlength=len(names))
+        seen = np.flatnonzero(w)
+        return names[seen].astype(np.str_), w[seen]
 
     def entity_edges(self) -> tuple:
         """The distinct (subj, obj) edges: (names, src, dst), every subj
         and obj name sorted and the edges as int64 ids into it, sorted
-        by (src, dst).  An edge lives in the forward shard of its subj."""
-        src, dst = (np.concatenate(c)
-                    for c in zip(*self._map(shard_edges, self.fwd_refs)))
-        # factorize(sort=True), not np.unique: comparison-sorting millions
-        # of object strings is ~30x slower (measured at sf0.1)
-        codes, uniq = pd.factorize(np.concatenate([src, dst]), sort=True)
-        n = len(uniq)
-        pair = np.unique(codes[:len(src)] * n + codes[len(src):])
-        return uniq.astype(np.str_), pair // n, pair % n
+        by (src, dst)."""
+        names, (src, dst), _ = self._gather(("subj", "obj"))
+        ents = np.unique(np.concatenate([src, dst]))   # not predicates
+        n = len(ents)
+        pair = np.unique(np.searchsorted(ents, src) * n
+                         + np.searchsorted(ents, dst))
+        return names[ents].astype(np.str_), pair // n, pair % n
 
     def local(self) -> "ShardedLocalGraph":
         """Lazy worker/driver-side view: shards resolve from the object

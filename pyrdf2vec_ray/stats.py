@@ -24,8 +24,7 @@ from pyrdf2vec_ray.state.graph_index import GraphIndex
 def vertex_stats(gi: GraphIndex, alpha: float = 0.85) -> ray.data.Dataset:
     g = gi.local()
     a = g.a
-    pred_count = np.zeros(g.num_vertices, dtype=np.int64)
-    np.add.at(pred_count, a.fwd_pred.astype(np.int64), 1)
+    pred_count = np.bincount(a.fwd_pred, minlength=g.num_vertices)
     pr = pagerank_scores(g, alpha=alpha)
     comm = detect_communities(g)
     table = pa.table(
